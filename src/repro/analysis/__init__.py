@@ -13,7 +13,7 @@ Three faces share one diagnostics model (:class:`Finding`,
   nondeterminism and fork-hostile state from our own sources;
 * the **certifier** (:mod:`repro.analysis.equiv`, CLI
   ``repro-verify --classifier``) statically proves a tenant's compiled
-  classifier (flow cache v2) equivalent to its installed tables, and
+  classifier equivalent to its installed tables, and
   synthesizes counterexample packets when it is not.
 
 This package sits *below* :mod:`repro.runtime`, :mod:`repro.api`, and

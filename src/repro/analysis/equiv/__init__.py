@@ -1,7 +1,7 @@
 """Equivalence certification for compiled classifiers.
 
 ``repro.analysis.equiv`` statically certifies that a
-:class:`~repro.engine.classifier.CompiledClassifier` (flow cache v2) is
+:class:`~repro.engine.classifier.CompiledClassifier` is
 equivalent to the scalar pipeline walk over the *installed* tables at
 the same ``config_epoch`` — partition soundness, priority soundness,
 symbolic action equivalence, and counterexample synthesis — with zero

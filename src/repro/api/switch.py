@@ -23,7 +23,7 @@ default) routes egress through the weighted-fair
 :class:`~repro.engine.scheduler.EgressScheduler`, configured per
 tenant via :meth:`Tenant.set_weight` / :meth:`Tenant.set_rate_limit`
 / :meth:`Tenant.clear_rate_limit`; every reconfiguration committed
-through the facade flushes the affected tenant's flow-cache shards.
+through the facade drops the affected tenant's compiled classifier.
 One switch is rarely the whole story — :mod:`repro.fabric` composes
 many of these into leaf–spine topologies behind the same tenant
 abstraction.
@@ -353,8 +353,7 @@ class Switch:
     def process_many(self, packets: List[Packet]) -> List[PipelineResult]:
         return self.pipeline.process_many(packets)
 
-    def engine(self, cache_capacity: int = 4096,
-               enable_cache: bool = True, scheduled: bool = True,
+    def engine(self, scheduled: bool = True,
                line_rate_bps: Optional[float] = None,
                egress_queue_capacity: Optional[int] = None,
                enable_classifier: Optional[bool] = None,
@@ -363,13 +362,12 @@ class Switch:
 
         Engines obtained here are registered with the switch, so every
         transactional reconfiguration through the facade (transactions,
-        ``tenant.update``, ``tenant.evict``) flushes the affected
-        tenant's flow-cache shard — and its compiled classifier — the
-        moment it commits, on top of the epoch check that already
-        invalidates stale entries.
+        ``tenant.update``, ``tenant.evict``) drops the affected
+        tenant's compiled classifier the moment it commits, on top of
+        the epoch check that already forces a rebuild.
 
         ``enable_classifier`` controls the compiled-classification level
-        of the engine's hot path (flow cache v2); ``None`` defers to the
+        of the engine's hot path; ``None`` defers to the
         ``REPRO_ENGINE_CLASSIFIER`` environment variable (default on).
         ``check_compiled`` (``"enforce"`` / ``"warn"`` / ``"off"``)
         certifies every classifier rebuild against the installed tables
@@ -390,8 +388,7 @@ class Switch:
             self.install_egress_scheduler(
                 line_rate_bps=line_rate_bps,
                 queue_capacity=egress_queue_capacity)
-        engine = BatchEngine(self.pipeline, cache_capacity=cache_capacity,
-                             enable_cache=enable_cache,
+        engine = BatchEngine(self.pipeline,
                              enable_classifier=enable_classifier,
                              check_compiled=check_compiled)
         self._engines.append(engine)
@@ -452,7 +449,7 @@ class Switch:
         return scheduler
 
     def _notify_reconfigured(self, vid: int) -> None:
-        """Flush attached engines' cached flows for one tenant."""
+        """Drop attached engines' compiled state for one tenant."""
         for engine in self._engines:
             engine.invalidate(vid)
 
@@ -937,7 +934,7 @@ class Transaction:
             if owns_window:
                 interface.clear_module_updating(tenant.vid)
             # Committed or rolled back, configuration writes happened:
-            # flush this tenant's cached flows before its next packet.
+            # drop this tenant's compiled state before its next packet.
             tenant._switch._notify_reconfigured(tenant.vid)
         self._ops.clear()
 

@@ -263,13 +263,12 @@ class MenshenPipeline:
         return merged, phv
 
     def commit(self, merged: Optional[Packet], phv: "PHV",
-               module_id: int, cache_hit: bool = False) -> PipelineResult:
+               module_id: int) -> PipelineResult:
         """Account for an executed packet and enqueue it into the TM."""
         if merged is None:
             self.stats.record_drop(module_id, "discard")
             return PipelineResult(packet=None, phv=phv, dropped=True,
-                                  module_id=module_id, drop_reason="discard",
-                                  cache_hit=cache_hit)
+                                  module_id=module_id, drop_reason="discard")
         egress = phv.metadata.dst_port
         mcast = phv.metadata.mcast_group
         self.traffic_manager.enqueue(merged, egress, mcast,
@@ -277,7 +276,7 @@ class MenshenPipeline:
         self.stats.record_out(module_id, len(merged))
         return PipelineResult(packet=merged, phv=phv, dropped=False,
                               egress_port=egress, mcast_group=mcast,
-                              module_id=module_id, cache_hit=cache_hit)
+                              module_id=module_id)
 
     def process(self, packet: Packet) -> PipelineResult:
         """Push one ingress packet through filter, pipeline, and TM."""

@@ -1,4 +1,4 @@
-"""Batched execution engine with per-tenant flow caching.
+"""Batched execution engine with compiled per-tenant classification.
 
 The scalar path (``pipeline.process`` / ``switch.process``) pushes one
 packet at a time through parser, stages, and deparser. This package adds
@@ -7,16 +7,15 @@ the serving layer a production deployment needs:
 * :class:`~repro.engine.batch.BatchEngine` — batched, per-VID-sharded
   execution over an existing :class:`~repro.core.pipeline.MenshenPipeline`,
   packet-for-packet identical to the scalar path;
-* :class:`~repro.engine.flow_cache.FlowCache` — exact-match memoization
-  of pure flow transformations, epoch-validated against reconfiguration;
-* :class:`~repro.engine.classifier.CompiledClassifier` — flow cache v2:
-  each tenant's installed tables compiled into flat interval/hash match
-  structures with pre-decoded actions, so exact-match *misses* (and
-  ternary matches) also skip the interpreted pipeline walk;
+* :class:`~repro.engine.classifier.CompiledClassifier` — each tenant's
+  installed tables compiled into flat interval/hash match structures
+  with pre-decoded actions, so packets skip the interpreted pipeline
+  walk; the scalar walk remains the fallback and the oracle;
 * :class:`~repro.engine.scheduler.EgressScheduler` — weighted-fair
   (PIFO/STFQ) egress with per-tenant token-bucket rate limiting, the
   batched path's default traffic manager (§3.5 bandwidth isolation);
-* engine counters (hits, misses, drops, per-tenant throughput).
+* engine counters (compiled hits, fallbacks by reason, drops,
+  per-tenant throughput).
 
 Quick start::
 
@@ -24,7 +23,7 @@ Quick start::
     ...admit tenants, install entries...
     engine = switch.engine()            # or BatchEngine(switch.pipeline)
     results = engine.process_batch(packets)
-    print(engine.counters.hit_rate)
+    print(engine.counters.compiled_hits)
 """
 
 from .batch import (
@@ -41,7 +40,6 @@ from .classifier import (
     Fallback,
     compile_classifier,
 )
-from .flow_cache import FlowCache, FlowCacheStats, FlowEntry
 from .scheduler import (
     Departure,
     EgressScheduler,
@@ -60,9 +58,6 @@ __all__ = [
     "CompiledClassifier",
     "Fallback",
     "compile_classifier",
-    "FlowCache",
-    "FlowCacheStats",
-    "FlowEntry",
     "EgressScheduler",
     "SchedulerTenantCounters",
     "TokenBucket",

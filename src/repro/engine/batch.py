@@ -1,4 +1,4 @@
-"""Batched execution over a Menshen pipeline with per-tenant flow caching.
+"""Batched execution over a Menshen pipeline with compiled classification.
 
 :class:`BatchEngine` drives packets through an existing
 :class:`~repro.core.pipeline.MenshenPipeline` in batches, preserving the
@@ -11,23 +11,17 @@ per-packet costs:
   traffic manager in arrival order. Tenants share no data-plane state
   (overlay config, segmented stateful memory), so per-shard execution
   is observationally identical to interleaved scalar execution.
-* **Flow caching.** Each shard owns a :class:`~repro.engine.flow_cache.
-  FlowCache` memoizing pure flow transformations, keyed on the bytes the
-  module's parse program reads and validated against the pipeline's
-  ``config_epoch``. Any configuration write that lands through the daisy
-  chain — every ``repro.api`` table insert/delete, transaction, module
-  load/update/evict — bumps the epoch and thereby invalidates stale
-  entries before the next packet can observe them.
-* **Compiled classification (flow cache v2).** On an exact-match miss,
-  the packet is run through the tenant's
+* **Compiled classification.** Each packet is run through its tenant's
   :class:`~repro.engine.classifier.CompiledClassifier` — the installed
-  configuration flattened at the current epoch into parse-plan copies,
-  per-stage interval/hash match structures, and pre-decoded ALU op
-  tuples. A compiled hit produces the same ``(merged, phv)`` the scalar
-  walk would, seeds the exact-match cache (when enabled), and skips the
-  interpreted pipeline entirely, so cache-hostile traffic no longer
-  degrades to the scalar walk. Classifiers are rebuilt lazily when the
-  epoch moves and purged by :meth:`invalidate` alongside the shards.
+  configuration flattened at the current ``config_epoch`` into
+  parse-plan copies, per-stage interval/hash match structures, and
+  pre-decoded ALU op tuples. A compiled hit produces the same
+  ``(merged, phv)`` the scalar walk would and skips the interpreted
+  pipeline entirely. Any configuration write that lands through the
+  daisy chain — every ``repro.api`` table insert/delete, transaction,
+  module load/update/evict — bumps the epoch, so the classifier is
+  rebuilt lazily before the next packet can observe stale rules;
+  :meth:`BatchEngine.invalidate` additionally drops it eagerly.
 * **Certification (``check_compiled``).** Every lazy classifier rebuild
   can be statically certified equivalent to the installed tables by
   :func:`repro.analysis.equiv.certify_classifier` — ``enforce`` refuses
@@ -36,28 +30,25 @@ per-packet costs:
   :class:`~repro.analysis.verify.AnalysisWarning`, ``off`` (default)
   skips the check. The mode defaults from ``REPRO_ENGINE_CERTIFY``;
   certificates are kept in :attr:`BatchEngine.certificates` per VID.
-* **Stateful bypass.** A packet whose execution touches stateful memory
-  is never memoized, and its module stops probing the cache until the
-  next reconfiguration (state-carrying modules like NetCache/NetChain
-  take the full pipeline every time, as they must); compiled leaves that
-  would touch stateful memory bail to the scalar walk per flow. This is
-  also why register writes (``tenant.register(...).write``), which
-  bypass the daisy chain, need no invalidation: no cached flow ever
-  consulted a register, and no compiled leaf replays a stateful op.
+* **Stateful bypass.** Compiled leaves that would touch stateful memory
+  bail to the scalar walk per packet (state-carrying modules like
+  NetCache/NetChain take the full pipeline, as they must). This is also
+  why register writes (``tenant.register(...).write``), which bypass
+  the daisy chain, need no invalidation: no compiled leaf replays a
+  stateful op.
 
-The hot path is therefore three-level — exact-match cache hit →
-compiled classification → scalar pipeline fallback — with
-:class:`EngineCounters` attributing every packet to one level
-(``cache_hits`` / ``compiled_hits`` / ``classifier_fallbacks`` by
+The hot path is therefore two-level — compiled classification → scalar
+pipeline fallback — with :class:`EngineCounters` attributing every
+packet to one level (``compiled_hits``, or ``classifier_fallbacks`` by
 reason) and ``compile_rebuilds`` counting epoch-driven recompiles.
 
 Epoch granularity is a deliberate tradeoff: ``config_epoch`` is
 pipeline-global because CAM/VLIW rows are physically shared (the
 pipeline cannot attribute a row write to a tenant; only the controller's
 partitioning makes rows tenant-owned). One tenant's rule churn therefore
-re-validates — i.e. re-learns, never corrupts — other tenants' cached
-flows; the API-level :meth:`invalidate` calls scope the *eager* flush
-per VID, and the global epoch is the conservative backstop.
+recompiles — never corrupts — other tenants' classifiers; the API-level
+:meth:`BatchEngine.invalidate` calls scope the *eager* drop per VID,
+and the global epoch is the conservative backstop.
 
 Mid-batch reconfiguration (Corundum mode, where configuration packets
 arrive on the shared ingress) is honored exactly: the engine flushes all
@@ -99,7 +90,6 @@ from .classifier import (
     Fallback,
     compile_classifier,
 )
-from .flow_cache import FlowCache, FlowCacheStats, FlowEntry
 
 if TYPE_CHECKING:  # pragma: no cover — type-only; engine never imports
     from ..analysis.equiv import Certificate  # analysis eagerly
@@ -157,10 +147,7 @@ class EngineTenantCounters:
     """One tenant's slice of the engine counters."""
 
     packets: int = 0
-    cache_hits: int = 0
     compiled_hits: int = 0
-    cache_misses: int = 0
-    uncacheable: int = 0
     drops: int = 0
     bytes_out: int = 0
 
@@ -169,14 +156,12 @@ class EngineTenantCounters:
 class EngineCounters:
     """Engine-level accounting, overall and per tenant.
 
-    Counter-unit contract: ``invalidations`` counts flushed cache
-    *entries* (same unit as ``FlowCacheStats.invalidations``) and
-    ``invalidation_calls`` counts :meth:`BatchEngine.invalidate` *calls*
-    — a call that finds nothing to flush bumps only the latter.
-    ``cache_hits``/``compiled_hits`` attribute each served packet to the
-    hot-path level that produced its result; ``classifier_fallbacks``
-    histograms (by reason) the packets the classifier handed back to the
-    scalar pipeline.
+    ``compiled_hits`` counts packets the compiled classifier served;
+    ``classifier_fallbacks`` histograms (by reason) the packets it
+    handed back to the scalar pipeline. ``cache_hits`` is always 0:
+    the engine has no exact-match cache level, and the field stays so
+    readers of the hot-path level shares keep one schema.
+    ``invalidation_calls`` counts :meth:`BatchEngine.invalidate` calls.
 
     Aggregation (:meth:`merge_from` / :meth:`delta_since` /
     :meth:`assign_from`) is introspected from the dataclass fields by
@@ -189,12 +174,9 @@ class EngineCounters:
     packets: int = 0
     cache_hits: int = 0
     compiled_hits: int = 0
-    cache_misses: int = 0
-    uncacheable: int = 0
     early_drops: int = 0
     drops: int = 0
     reconfig_flushes: int = 0
-    invalidations: int = 0
     invalidation_calls: int = 0
     compile_rebuilds: int = 0
     classifier_fallbacks: Dict[str, int] = field(default_factory=dict)
@@ -205,11 +187,6 @@ class EngineCounters:
         if counters is None:
             counters = self.per_tenant[vid] = EngineTenantCounters()
         return counters
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
 
     def merge_from(self, other: "EngineCounters") -> None:
         """Add another engine's counters into this one (introspected;
@@ -231,38 +208,31 @@ class EngineCounters:
 
 
 class _ModuleLayout:
-    """Decoded parse/deparse geometry of one module at one epoch.
+    """Parse/deparse reach of one module at one epoch.
 
-    ``regions`` are the (offset, size) byte ranges the module's parse
-    program reads — the complete packet-derived input of its execution
-    (besides length and ingress port, which the key carries separately).
-    ``deparse`` are the ranges its deparse program writes back.
-    ``stateful`` flips once a packet of this module touches stateful
-    memory; the shard then bypasses the cache until the epoch moves.
+    ``max_end`` is the furthest byte the module's parse program reads
+    or its deparse program writes; a packet shorter than that (or a
+    parse window narrower) cannot take the compiled path.
     """
 
-    __slots__ = ("epoch", "regions", "deparse", "max_end", "stateful")
+    __slots__ = ("epoch", "max_end")
 
-    def __init__(self, epoch: int, regions: Tuple[Tuple[int, int], ...],
-                 deparse: Tuple[Tuple[int, int], ...]):
+    def __init__(self, epoch: int, max_end: int):
         self.epoch = epoch
-        self.regions = regions
-        self.deparse = deparse
-        ends = [off + size for off, size in regions]
-        ends += [off + size for off, size in deparse]
-        self.max_end = max(ends, default=0)
-        self.stateful = False
+        self.max_end = max_end
 
 
 class BatchEngine:
     """High-throughput batched executor over one Menshen pipeline."""
 
     def __init__(self, pipeline: MenshenPipeline,
-                 cache_capacity: int = 4096,
-                 enable_cache: bool = True,
                  enable_classifier: Optional[bool] = None,
                  check_compiled: Optional[str] = None):
-        """``check_compiled`` selects the certification mode for the
+        """``enable_classifier`` turns the compiled level on or off
+        (``None`` defers to ``REPRO_ENGINE_CLASSIFIER``, default on);
+        off, every packet takes the scalar walk.
+
+        ``check_compiled`` selects the certification mode for the
         compiled-classification level: every lazy rebuild is certified
         against the installed tables by
         :func:`repro.analysis.equiv.certify_classifier`. ``enforce``
@@ -277,8 +247,6 @@ class BatchEngine:
                 f"BatchEngine drives a MenshenPipeline, got "
                 f"{type(pipeline).__name__}")
         self.pipeline = pipeline
-        self.cache_capacity = cache_capacity
-        self.enable_cache = enable_cache
         if enable_classifier is None:
             enable_classifier = classifier_default_enabled()
         self.enable_classifier = enable_classifier
@@ -292,54 +260,31 @@ class BatchEngine:
         self.counters = EngineCounters()
         self.certificates: Dict[int, "Certificate"] = {}
         self._refused: Dict[int, bool] = {}
-        self._shards: Dict[int, FlowCache] = {}
         self._layouts: Dict[int, _ModuleLayout] = {}
         self._classifiers: Dict[int, CompiledClassifier] = {}
 
-    # -- cache management -------------------------------------------------------
+    # -- compiled-state management ----------------------------------------------
 
-    def shard(self, vid: int) -> FlowCache:
-        """The flow-cache shard for one tenant VID (created on demand)."""
-        cache = self._shards.get(vid)
-        if cache is None:
-            cache = self._shards[vid] = FlowCache(self.cache_capacity)
-        return cache
-
-    def cache_stats(self) -> Dict[int, FlowCacheStats]:
-        """Per-VID cache statistics."""
-        return {vid: cache.stats for vid, cache in self._shards.items()}
-
-    def invalidate(self, vid: Optional[int] = None) -> int:
-        """Flush cached flows (one tenant's shard, or everything).
+    def invalidate(self, vid: Optional[int] = None) -> None:
+        """Drop compiled state (one tenant's, or everything).
 
         ``repro.api`` calls this when a tenant commits a transaction, is
-        updated, or is evicted — making invalidation transactional at the
-        API layer. The epoch check makes stale entries unreachable even
-        without this call; flushing additionally frees their memory,
-        their layouts, and their compiled classifiers immediately.
-
-        ``counters.invalidations`` grows by the number of entries
-        actually flushed (matching ``FlowCacheStats.invalidations``);
+        updated, or is evicted. The epoch check already keeps a stale
+        classifier from serving; dropping it here also frees its
+        layout, classifier, and certificate immediately.
         ``counters.invalidation_calls`` grows by one per call.
         """
-        flushed = 0
         if vid is None:
-            for cache in self._shards.values():
-                flushed += cache.clear()
             self._layouts.clear()
             self._classifiers.clear()
             self.certificates.clear()
             self._refused.clear()
         else:
-            if vid in self._shards:
-                flushed = self._shards[vid].clear()
             self._layouts.pop(vid, None)
             self._classifiers.pop(vid, None)
             self.certificates.pop(vid, None)
             self._refused.pop(vid, None)
         self.counters.invalidation_calls += 1
-        self.counters.invalidations += flushed
-        return flushed
 
     def classifier_stats(self) -> Dict[int, ClassifierStats]:
         """Shape summaries of the currently compiled classifiers."""
@@ -386,18 +331,11 @@ class BatchEngine:
         if layout is None or layout.epoch != epoch:
             parse = self.pipeline.parser.read_program(vid)
             deparse = self.pipeline.deparser.read_program(vid)
-            regions = tuple(sorted({(a.bytes_from_head,
-                                     a.container.size_bytes)
-                                    for a in parse}))
-            writes = tuple((a.bytes_from_head, a.container.size_bytes)
-                           for a in deparse)
-            layout = _ModuleLayout(epoch, regions, writes)
+            max_end = max((a.bytes_from_head + a.container.size_bytes
+                           for a in (*parse, *deparse)), default=0)
+            layout = _ModuleLayout(epoch, max_end)
             self._layouts[vid] = layout
         return layout
-
-    def _stateful_ops(self) -> int:
-        return sum(stage.stateful_memory.op_count
-                   for stage in self.pipeline.stages)
 
     # -- data plane ---------------------------------------------------------------
 
@@ -453,17 +391,16 @@ class BatchEngine:
                 continue
             shards.setdefault(vid, []).append((i, packet, assign_buffer()))
 
-        executed: Dict[int, Tuple[Optional[Packet], object, int, bool]] = {}
+        executed: Dict[int, Tuple[Optional[Packet], object, int]] = {}
         for vid, items in shards.items():
-            cache = self.shard(vid)
             for i, packet, slot in items:
-                executed[i] = self._execute_one(vid, cache, packet, slot)
+                executed[i] = self._execute_one(vid, packet, slot)
 
         for i in run:
             if results[i] is not None:
                 continue
-            merged, phv, vid, hit = executed[i]
-            result = pipeline.commit(merged, phv, vid, cache_hit=hit)
+            merged, phv, vid = executed[i]
+            result = pipeline.commit(merged, phv, vid)
             results[i] = result
             tenant = self.counters.tenant(vid)
             tenant.packets += 1
@@ -473,41 +410,15 @@ class BatchEngine:
                 tenant.drops += 1
                 self.counters.drops += 1
 
-    def _execute_one(self, vid: int, cache: FlowCache, packet: Packet,
-                     slot: int) -> Tuple[Optional[Packet], object, int, bool]:
-        """Serve one admitted packet: cache hit -> compiled -> scalar."""
+    def _execute_one(self, vid: int, packet: Packet,
+                     slot: int) -> Tuple[Optional[Packet], object, int]:
+        """Serve one admitted packet: compiled, else the scalar walk."""
         pipeline = self.pipeline
-        epoch = pipeline.config_epoch
-        key = None
-        layout = None
-        fits_window = False
-        if self.enable_cache or self.enable_classifier:
+        if self.enable_classifier:
             layout = self._layout(vid)
             window = min(len(packet), pipeline.params.parse_window_bytes)
-            fits_window = layout.max_end <= window
-
-        # Level 1: exact-match flow-cache hit.
-        if self.enable_cache and fits_window and not layout.stateful:
-            key = (len(packet), packet.ingress_port,
-                   *(packet.read_bytes(off, size)
-                     for off, size in layout.regions))
-            entry = cache.lookup(key, epoch)
-            if entry is not None:
-                self.counters.cache_hits += 1
-                self.counters.tenant(vid).cache_hits += 1
-                phv = entry.phv.copy()
-                phv.metadata.buffer_tag = 1 << slot
-                if entry.dropped:
-                    return (None, phv, vid, True)
-                merged = packet.copy()
-                for off, data in entry.writes:
-                    merged.write_bytes(off, data)
-                return (merged, phv, vid, True)
-
-        # Level 2: compiled classification (flow cache v2).
-        if self.enable_classifier:
-            if fits_window:
-                clf = self._classifier(vid, epoch)
+            if layout.max_end <= window:
+                clf = self._classifier(vid, pipeline.config_epoch)
                 if self._refused.get(vid):
                     # Certification (enforce mode) found the compiled
                     # artifact inequivalent: refuse the compiled path
@@ -518,50 +429,15 @@ class BatchEngine:
                     if type(outcome) is Fallback:
                         self._count_fallback(outcome.reason)
                     else:
-                        merged, phv = outcome
                         self.counters.compiled_hits += 1
-                        tenant = self.counters.tenant(vid)
-                        tenant.compiled_hits += 1
-                        if key is not None:
-                            # Seed the exact-match level: the compiled
-                            # result is pure by construction, exactly
-                            # what the scalar miss path would memoize.
-                            self.counters.cache_misses += 1
-                            tenant.cache_misses += 1
-                            if merged is None:
-                                writes: Tuple[Tuple[int, bytes], ...] = ()
-                            else:
-                                writes = tuple(
-                                    (off, merged.read_bytes(off, size))
-                                    for off, size in layout.deparse)
-                            cache.insert(key, FlowEntry(
-                                epoch=epoch, phv=phv.copy(), writes=writes,
-                                dropped=merged is None))
-                        return (merged, phv, vid, False)
+                        self.counters.tenant(vid).compiled_hits += 1
+                        merged, phv = outcome
+                        return (merged, phv, vid)
                 else:
                     self._count_fallback("uncompilable")
             else:
                 self._count_fallback("parse-window")
 
-        # Level 3: the scalar pipeline walk (the differential oracle).
-        before = self._stateful_ops()
+        # The scalar pipeline walk (the differential oracle).
         merged, phv = pipeline.execute(packet, vid, buffer_slot=slot)
-        pure = self._stateful_ops() == before
-
-        if key is not None and pure:
-            self.counters.cache_misses += 1
-            self.counters.tenant(vid).cache_misses += 1
-            if merged is None:
-                writes: Tuple[Tuple[int, bytes], ...] = ()
-            else:
-                writes = tuple((off, merged.read_bytes(off, size))
-                               for off, size in layout.deparse)
-            cache.insert(key, FlowEntry(epoch=epoch, phv=phv.copy(),
-                                        writes=writes,
-                                        dropped=merged is None))
-        elif not pure:
-            self.counters.uncacheable += 1
-            self.counters.tenant(vid).uncacheable += 1
-            if layout is not None:
-                layout.stateful = True
-        return (merged, phv, vid, False)
+        return (merged, phv, vid)

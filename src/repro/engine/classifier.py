@@ -1,13 +1,12 @@
-"""Compiled per-tenant flow classification — the flow cache v2.
+"""Compiled per-tenant flow classification — the engine's fast level.
 
-The exact-match :class:`~repro.engine.flow_cache.FlowCache` (PR 2) only
-helps traffic that *repeats* flows: uniform or adversarial flow churn
-degrades every packet to the scalar stage-by-stage RMT walk. This module
-follows the NuevoMatchUp direction ("Scaling Open vSwitch with a
-Computational Cache", NSDI '22): compile each tenant's *installed
-configuration* at one ``config_epoch`` into a flat decision structure,
-so cache **misses** — and ternary matches — also skip the interpreted
-pipeline walk.
+An exact-match result cache only helps traffic that *repeats* flows:
+uniform or adversarial flow churn would degrade every packet to the
+scalar stage-by-stage RMT walk. This module follows the NuevoMatchUp
+direction ("Scaling Open vSwitch with a Computational Cache", NSDI '22):
+compile each tenant's *installed configuration* at one ``config_epoch``
+into a flat decision structure, so every packet — unseen flows and
+ternary matches included — skips the interpreted pipeline walk.
 
 A :class:`CompiledClassifier` is the whole data path of one module,
 flattened over the parsed key-byte regions:
@@ -46,7 +45,7 @@ widens behavior; ``tests/test_engine_differential.py`` pins the
 compiled path packet-for-packet against the oracle.
 
 Classifiers are rebuilt lazily when ``config_epoch`` moves and purged by
-:meth:`BatchEngine.invalidate` alongside the flow-cache shards.
+:meth:`BatchEngine.invalidate`.
 """
 
 from __future__ import annotations
@@ -276,7 +275,7 @@ class CompiledClassifier:
         Returns ``(merged, phv)`` exactly as ``pipeline.execute`` would,
         or a :class:`Fallback` when the matched leaf must take the
         scalar oracle. The caller guarantees the parse/deparse window
-        fits (same precondition as the exact-match cache probe).
+        fits (``BatchEngine`` checks the module's parse/deparse reach).
         """
         buf = packet.buf
         vals = [0] * 24

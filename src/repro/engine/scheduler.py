@@ -28,6 +28,15 @@ This module closes it:
 The scheduler feeds per-tenant queue depth and transmitted-byte gauges
 into :class:`~repro.core.stats.PipelineStats` — the "real-time
 statistics" surface the system-level module exposes to tenants (§3.3).
+Depths are kept as running per-tenant and per-port counters, so every
+gauge read is O(1) rather than a sum over ports and FIFOs.
+
+Event-driven callers re-query :meth:`EgressScheduler.next_departure_at`
+only where the answer can have changed: the scheduler records a port as
+*dirty* whenever one of that answer's inputs moves — its queue heads,
+its clock, its rate, or the token bucket of a tenant queued on it — and
+:meth:`EgressScheduler.take_dirty` hands the set over (see
+:meth:`repro.exec.core.ExecutionCore.schedule_services`).
 
 ``repro.api.Switch.engine()`` installs an :class:`EgressScheduler` as
 the pipeline's traffic manager by default, making weighted-fair egress
@@ -39,7 +48,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigError
 from ..net.packet import Packet
@@ -117,18 +126,16 @@ class _PortState:
 
     Each FIFO entry is ``(rank, seq, packet)``; ``seq`` is a port-wide
     arrival counter so equal ranks stay FIFO-stable, like the hardware
-    PIFO block.
+    PIFO block. ``length`` is the running total over all FIFOs.
     """
 
-    __slots__ = ("ranker", "fifos", "seq")
+    __slots__ = ("ranker", "fifos", "seq", "length")
 
     def __init__(self, ranker: StfqRanker):
         self.ranker = ranker
         self.fifos: Dict[int, Deque[Tuple[float, int, Packet]]] = {}
         self.seq = 0
-
-    def __len__(self) -> int:
-        return sum(len(q) for q in self.fifos.values())
+        self.length = 0
 
 
 #: ``(vid, rank, packet, serve_time)`` — one scheduling decision.
@@ -153,6 +160,13 @@ class EgressScheduler:
     ``bytes_out`` counts at **dequeue** time: a queued packet has not
     been transmitted, and the system module's real-time statistics must
     not claim otherwise.
+
+    Dirty-port contract: a port left out of :meth:`take_dirty` reports
+    the same :meth:`next_departure_at` as when it was last queried. A
+    port is marked on enqueue, on serve, when :meth:`advance_to` moves
+    its clock, on :meth:`set_port_rate` or a line-rate change, when a
+    rate limit is set or cleared for (or a token bucket moves under) a
+    tenant queued on it, and on :meth:`purge` / :meth:`drop_queued`.
     """
 
     def __init__(self, num_ports: int = 8,
@@ -167,13 +181,18 @@ class EgressScheduler:
                 f"line rate must be positive, got {line_rate_bps}")
         self.num_ports = num_ports
         self.queue_capacity = queue_capacity
-        self.line_rate_bps = line_rate_bps
+        #: ports whose next departure may have changed (see take_dirty)
+        self._dirty: Set[int] = set()
+        self._line_rate_bps = line_rate_bps
         #: Per-port line-rate overrides (bps). A fabric wires ports to
         #: links of different capacities (host links vs spine links);
         #: ports without an override transmit at ``line_rate_bps``.
         self.port_rate_bps: Dict[int, float] = {}
         self._weights: Dict[int, float] = {}
         self._ports = [_PortState(StfqRanker({})) for _ in range(num_ports)]
+        #: vid -> packets queued across every port
+        self._depth: Dict[int, int] = {}
+        self._total = 0
         self._mcast_groups: Dict[int, List[int]] = {}
         self._buckets: Dict[int, TokenBucket] = {}
         self._stats = stats
@@ -200,6 +219,40 @@ class EgressScheduler:
         this as *the* virtual time)."""
         return max(self.port_clock)
 
+    @property
+    def line_rate_bps(self) -> Optional[float]:
+        """Transmission rate of ports without a :meth:`set_port_rate`
+        override (``None``: departures are instantaneous)."""
+        return self._line_rate_bps
+
+    @line_rate_bps.setter
+    def line_rate_bps(self, rate_bps: Optional[float]) -> None:
+        self._line_rate_bps = rate_bps
+        self._dirty.update(range(self.num_ports))
+
+    def take_dirty(self) -> List[int]:
+        """The ports whose :meth:`next_departure_at` may have changed
+        since the last call, in ascending order; clears the set."""
+        dirty = self._dirty
+        if not dirty:
+            return []
+        ports = sorted(dirty)
+        dirty.clear()
+        return ports
+
+    def mark_dirty(self, port: int) -> None:
+        """Report ``port`` from the next :meth:`take_dirty`."""
+        self._dirty.add(port)
+
+    def _mark_vid_ports(self, vid: int, skip: int = -1) -> None:
+        """Mark every port (but ``skip``) where ``vid`` has packets
+        queued — its token bucket, which they all consult, has moved."""
+        if self._depth.get(vid):
+            dirty = self._dirty
+            for port, state in enumerate(self._ports):
+                if vid in state.fifos and port != skip:
+                    dirty.add(port)
+
     # -- configuration -----------------------------------------------------------
 
     def set_weight(self, vid: int, weight: float) -> None:
@@ -219,9 +272,11 @@ class EgressScheduler:
         """Cap one tenant's egress at ``rate_bytes_per_s``."""
         self._buckets[vid] = TokenBucket(rate_bytes_per_s, burst_bytes,
                                          clock=self.clock)
+        self._mark_vid_ports(vid)
 
     def clear_rate_limit(self, vid: int) -> None:
-        self._buckets.pop(vid, None)
+        if self._buckets.pop(vid, None) is not None:
+            self._mark_vid_ports(vid)
 
     def purge(self, vid: int) -> List[Packet]:
         """Remove one tenant's queued packets and egress configuration.
@@ -241,11 +296,15 @@ class EgressScheduler:
             fifo = state.fifos.pop(vid, None)
             if fifo:
                 purged.extend(packet for _rank, _seq, packet in fifo)
+                state.length -= len(fifo)
+                self._dirty.add(port)
             state.ranker.weights.pop(vid, None)
             state.ranker._last_finish.pop(vid, None)
             self._throttle_marks.pop((port, vid), None)
         self._weights.pop(vid, None)
         self._buckets.pop(vid, None)
+        self._total -= len(purged)
+        self._depth.pop(vid, None)
         self._feed_depth(vid)
         self.per_tenant.pop(vid, None)
         return purged
@@ -275,11 +334,17 @@ class EgressScheduler:
             dropped.extend((port, vid, packet)
                            for _seq, vid, packet in entries)
             vids = sorted(state.fifos)
+            if vids:
+                self._dirty.add(port)
+            for vid in vids:
+                self._depth[vid] -= len(state.fifos[vid])
             state.fifos.clear()
+            state.length = 0
             state.ranker._last_finish.clear()
             state.seq = 0
             for vid in vids:
                 self._feed_depth(vid)
+        self._total = 0
         self._throttle_marks.clear()
         return dropped
 
@@ -294,6 +359,7 @@ class EgressScheduler:
             raise ConfigError(
                 f"port {port}: rate must be positive, got {rate_bps}")
         self.port_rate_bps[port] = float(rate_bps)
+        self._dirty.add(port)
 
     def port_rate_of(self, port: int) -> Optional[float]:
         """The rate ``port`` transmits at (override or the line rate)."""
@@ -327,21 +393,21 @@ class EgressScheduler:
 
     def queue_len(self, port: int) -> int:
         self._check_port(port)
-        return len(self._ports[port])
+        return self._ports[port].length
 
     def total_queued(self) -> int:
-        return sum(len(p) for p in self._ports)
+        return self._total
 
     def queue_depth(self, vid: int) -> int:
         """Packets of one tenant currently queued, across all ports."""
-        return sum(len(p.fifos.get(vid, ())) for p in self._ports)
+        return self._depth.get(vid, 0)
 
     def transmitted_bytes(self, vid: int) -> int:
         return self.tenant(vid).transmitted_bytes
 
     def _feed_depth(self, vid: int) -> None:
         if self._stats is not None:
-            self._stats.set_egress_depth(vid, self.queue_depth(vid))
+            self._stats.set_egress_depth(vid, self._depth.get(vid, 0))
 
     # -- queueing ----------------------------------------------------------------
 
@@ -353,7 +419,7 @@ class EgressScheduler:
     def _enqueue_one(self, packet: Packet, port: int, vid: int) -> bool:
         state = self._ports[port]
         if (self.queue_capacity is not None
-                and len(state) >= self.queue_capacity):
+                and state.length >= self.queue_capacity):
             self.dropped += 1
             self.tenant(vid).dropped += 1
             return False
@@ -363,6 +429,10 @@ class EgressScheduler:
             fifo = state.fifos[vid] = deque()
         fifo.append((rank, state.seq, packet))
         state.seq += 1
+        state.length += 1
+        self._depth[vid] = self._depth.get(vid, 0) + 1
+        self._total += 1
+        self._dirty.add(port)
         self.enqueued += 1
         self.tenant(vid).enqueued += 1
         self._feed_depth(vid)
@@ -392,8 +462,8 @@ class EgressScheduler:
     # -- scheduling decisions -----------------------------------------------------
 
     def _tx_seconds(self, nbytes: int, port: Optional[int] = None) -> float:
-        rate = self.line_rate_bps if port is None \
-            else self.port_rate_bps.get(port, self.line_rate_bps)
+        rate = self._line_rate_bps if port is None \
+            else self.port_rate_bps.get(port, self._line_rate_bps)
         if rate is None:
             return 0.0
         return nbytes * 8.0 / rate
@@ -410,16 +480,26 @@ class EgressScheduler:
         and serving it idles the link until then (that is how a rate cap
         below link speed actually caps throughput). Mutates nothing but
         the ``throttled_waits`` telemetry (one count per delayed packet,
-        deduplicated across scans via ``_throttle_marks``).
+        deduplicated across scans via ``_throttle_marks``) and the
+        refill of a consulted token bucket, which marks the bucket's
+        other ports dirty.
         """
         state = self._ports[port]
         best: Optional[Tuple[float, int, int, float]] = None  # rank,seq,vid,at
         waiting: Optional[Tuple[float, float, int, int]] = None  # at,rank,seq,vid
+        buckets = self._buckets
         for vid, fifo in state.fifos.items():
             rank, seq, packet = fifo[0]
-            bucket = self._buckets.get(vid)
-            at = now if bucket is None \
-                else bucket.eligible_at(len(packet), now)
+            bucket = buckets.get(vid) if buckets else None
+            if bucket is None:
+                at = now
+            else:
+                last = bucket._last
+                at = bucket.eligible_at(len(packet), now)
+                if bucket._last != last:
+                    # This port's own answer already reflects the
+                    # refill; the bucket's other ports must re-ask.
+                    self._mark_vid_ports(vid, skip=port)
             if at <= now:
                 if best is None or (rank, seq) < (best[0], best[1]):
                     best = (rank, seq, vid, at)
@@ -444,12 +524,17 @@ class EgressScheduler:
         fifo.popleft()
         if not fifo:
             del state.fifos[vid]
+        state.length -= 1
+        self._depth[vid] -= 1
+        self._total -= 1
+        self._dirty.add(port)
         state.ranker.on_dequeue(rank)
         self._throttle_marks.pop((port, vid), None)
         start = max(at, self.port_clock[port])
         bucket = self._buckets.get(vid)
         if bucket is not None:
             bucket.consume(len(packet), start)
+            self._mark_vid_ports(vid)
         self.port_clock[port] = start + self._tx_seconds(len(packet), port)
         self.dequeued += 1
         self.bytes_out[port] += len(packet)
@@ -536,19 +621,27 @@ class EgressScheduler:
         contention is measurable. Without a line rate, everything
         eligible departs instantaneously. Departures are returned in
         timestamp order across ports.
+
+        An empty port's clock simply moves up to ``now``; only ports
+        with a backlog are scanned (and marked dirty when they serve,
+        or when their clock idles forward to a committed start).
         """
         departures: List[Departure] = []
-        for port in range(self.num_ports):
-            if now < self.port_clock[port]:
+        clocks = self.port_clock
+        for port, state in enumerate(self._ports):
+            if now < clocks[port]:
+                continue
+            if not state.length:
+                clocks[port] = now
                 continue
             while True:
-                choice = self._choose(port, self.port_clock[port],
-                                      wait_for_tokens=True)
+                clock = clocks[port]
+                choice = self._choose(port, clock, wait_for_tokens=True)
                 if choice is None:
-                    self.port_clock[port] = max(self.port_clock[port],
-                                                now)
+                    # Drained (by serves, which marked the port).
+                    clocks[port] = max(clock, now)
                     break
-                start = max(choice[3], self.port_clock[port])
+                start = max(choice[3], clock)
                 if start + self._tx_seconds(len(choice[2]), port) > now:
                     # The next transmission is committed to begin at
                     # ``start`` (it finishes past ``now``); the port
@@ -557,11 +650,19 @@ class EgressScheduler:
                     # transmission would re-delay its start, and a
                     # busy port fed by frequent events would slip
                     # unboundedly below line rate.
-                    self.port_clock[port] = max(self.port_clock[port],
-                                                min(now, start))
+                    clocks[port] = max(clock, min(now, start))
+                    if clocks[port] != clock:
+                        self._dirty.add(port)
                     break
                 departures.append(self._serve(choice, port))
-        for bucket in self._buckets.values():
+        for vid, bucket in self._buckets.items():
+            last = bucket._last
             bucket.refill(now)
-        departures.sort(key=lambda dep: dep.time)
+            if bucket._last != last:
+                self._mark_vid_ports(vid)
+        departures.sort(key=_departure_time)
         return departures
+
+
+def _departure_time(departure: Departure) -> float:
+    return departure.time

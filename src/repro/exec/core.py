@@ -308,27 +308,47 @@ class ExecutionCore:
     # -- event-driven policy: exact service on the simulation kernel -------------
 
     def schedule_services(self, member) -> None:
-        """Schedule each port's next service event exactly, from
-        :meth:`~repro.engine.scheduler.EgressScheduler.
-        next_departure_at` — transmission finish times are the event
-        times, never a polling tick."""
+        """Schedule the next service event of every port whose next
+        departure may have moved, from :meth:`~repro.engine.scheduler.
+        EgressScheduler.next_departure_at` — transmission finish times
+        are the event times, never a polling tick.
+
+        Only the ports the scheduler reports dirty
+        (:meth:`~repro.engine.scheduler.EgressScheduler.take_dirty`)
+        are queried, in ascending port order. Every other port would
+        answer exactly as it did when last queried, and that answer is
+        already covered by a pending event (or the port is idle), so
+        the events scheduled — and their sequence numbers — are those
+        of a scan over every port.
+        """
         scheduler = member.scheduler
-        for port in range(member.num_ports):
+        ports = scheduler.take_dirty()
+        if not ports:
+            return
+        name = member.name
+        pending = self._pending
+        sim = self.sim
+        for port in ports:
             at = scheduler.next_departure_at(port)
             if at is None:
                 continue
-            key = (member.name, port)
-            if key in self._pending and self._pending[key] <= at + 1e-15:
+            key = (name, port)
+            if key in pending and pending[key] <= at + 1e-15:
                 continue
-            self._pending[key] = at
-            self.sim.schedule(max(0.0, at - self.sim.now),
-                              lambda m=member, p=port, t=at:
-                              self._service(m, p, t))
+            pending[key] = at
+            sim.schedule(max(0.0, at - sim.now),
+                         lambda m=member, p=port, t=at:
+                         self._service(m, p, t))
 
     def _service(self, member, port: int, t: float) -> None:
-        if self._pending.get((member.name, port), None) == t:
-            del self._pending[(member.name, port)]
-        self.route_departures(member, member.scheduler.advance_to(t))
+        key = (member.name, port)
+        if self._pending.get(key, None) == t:
+            del self._pending[key]
+        scheduler = member.scheduler
+        # This port's pending event just fired: it needs a fresh one
+        # even if advance_to leaves its scheduler state untouched.
+        scheduler.mark_dirty(port)
+        self.route_departures(member, scheduler.advance_to(t))
         self.schedule_services(member)
 
     def route_departures(self, member, departures) -> None:

@@ -7,8 +7,8 @@ default; fewer workers own contiguous shards of the fabric's switch
 order), each worker rebuilding its member switches **in-process from a
 pickled switch spec** — per-worker :class:`~repro.engine.batch.
 BatchEngine`, :class:`~repro.engine.scheduler.EgressScheduler`, and
-:class:`~repro.core.stats.PipelineStats`, so flow caches and compiled
-classifiers warm locally — and ships results home as typed per-switch
+:class:`~repro.core.stats.PipelineStats`, so compiled classifiers
+warm locally — and ships results home as typed per-switch
 frames (counter *deltas* via the introspected algebra in
 :mod:`repro.core.stats`, plus the sink's event records), which the
 parent merges so ``FabricResult`` / ``FabricTimelineResult`` match the

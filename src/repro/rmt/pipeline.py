@@ -36,11 +36,6 @@ class PipelineResult:
     mcast_group: int = 0
     module_id: int = 0
     drop_reason: str = ""
-    #: True when the result was served from a flow cache
-    #: (:mod:`repro.engine`) instead of a full pipeline traversal.
-    #: Observability metadata only — cached results are packet-for-packet
-    #: identical to scalar execution in every other field.
-    cache_hit: bool = False
 
     @property
     def forwarded(self) -> bool:

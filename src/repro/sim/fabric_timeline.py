@@ -10,7 +10,8 @@ departure-routing loop supplied by the unified execution core
 (:class:`repro.exec.ExecutionCore` under its event-driven policy):
 
 * an **arrival event** injects one packet at its source switch through
-  that switch's batched engine (flow cache, egress scheduler and all);
+  that switch's batched engine (compiled classifier, egress scheduler
+  and all);
 * a **service event** advances one switch's egress scheduler to the
   event time and routes the resulting
   :class:`~repro.engine.scheduler.Departure` records — host-port

@@ -1,16 +1,17 @@
 """A minimal discrete-event simulation kernel.
 
-Classic event-queue design: events are (time, sequence, callback)
-triples in a heap; :meth:`Simulator.run` pops them in time order. The
-sequence number makes simultaneous events deterministic (FIFO) and keeps
-heap comparisons away from unorderable callbacks.
+Classic event-queue design: the heap holds ``(time, seq, event)``
+tuples and :meth:`Simulator.run` pops them in time order. The sequence
+number makes simultaneous events deterministic (FIFO) and, being
+unique, settles every comparison before it could reach the
+:class:`Event` object — so heap operations compare plain floats and
+ints, never call back into Python-level ordering methods.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import ReproError
 
@@ -19,15 +20,24 @@ class SimulationError(ReproError):
     """Scheduling into the past or other kernel misuse."""
 
 
-@dataclass(order=True)
 class Event:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    """A scheduled callback; :meth:`cancel` keeps it from firing."""
+
+    __slots__ = ("time", "seq", "callback", "cancelled")
+
+    def __init__(self, time: float, seq: int,
+                 callback: Callable[[], None]) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
+
+    def __repr__(self) -> str:
+        return (f"Event(time={self.time!r}, seq={self.seq}, "
+                f"cancelled={self.cancelled})")
 
 
 class Simulator:
@@ -35,7 +45,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self.events_processed = 0
 
@@ -44,10 +54,11 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: {delay}")
-        event = Event(time=self.now + delay, seq=self._seq,
-                      callback=callback)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        time = self.now + delay
+        seq = self._seq
+        event = Event(time, seq, callback)
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def schedule_at(self, time: float,
@@ -59,18 +70,20 @@ class Simulator:
             max_events: Optional[int] = None) -> float:
         """Process events until the queue empties, ``until`` passes, or
         ``max_events`` fire. Returns the final clock value."""
+        queue = self._queue
+        pop = heapq.heappop
         processed = 0
-        while self._queue:
+        while queue:
             if max_events is not None and processed >= max_events:
                 break
-            event = self._queue[0]
-            if until is not None and event.time > until:
+            time = queue[0][0]
+            if until is not None and time > until:
                 self.now = until
                 break
-            heapq.heappop(self._queue)
+            event = pop(queue)[2]
             if event.cancelled:
                 continue
-            self.now = event.time
+            self.now = time
             event.callback()
             processed += 1
             self.events_processed += 1
@@ -80,4 +93,4 @@ class Simulator:
         return self.now
 
     def pending(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for _t, _s, e in self._queue if not e.cancelled)

@@ -108,8 +108,8 @@ class ReconfigTimelineExperiment:
                  engine=None):
         self.pipeline = pipeline
         #: Optional :class:`repro.engine.BatchEngine` over the same
-        #: pipeline; when set, arrivals are served through it (flow cache
-        #: and all) instead of the scalar path. Results are identical —
+        #: pipeline; when set, arrivals are served through it (compiled
+        #: classifier and all) instead of the scalar path. Results are identical —
         #: this exists to run the timed Fig. 10 experiment against the
         #: batched serving layer.
         self.engine = engine

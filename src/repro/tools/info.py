@@ -53,14 +53,11 @@ def _engine_info() -> dict:
     scalar = ("per_tenant", "classifier_fallbacks")
     return {
         "hot_path_levels": [
-            {"level": 1, "name": "flow_cache",
-             "counter": "cache_hits",
-             "description": "exact-match hit on the tenant's LRU shard"},
-            {"level": 2, "name": "compiled_classifier",
+            {"level": 1, "name": "compiled_classifier",
              "counter": "compiled_hits",
              "description": "compiled interval/hash classification of "
-                            "the installed tables (flow cache v2)"},
-            {"level": 3, "name": "scalar_pipeline",
+                            "the installed tables"},
+            {"level": 2, "name": "scalar_pipeline",
              "counter": "classifier_fallbacks",
              "description": "interpreted stage-by-stage walk (the "
                             "differential oracle)"},
@@ -71,7 +68,6 @@ def _engine_info() -> dict:
                             dataclasses.fields(EngineTenantCounters)],
         "fallback_reasons": list(FALLBACK_REASONS),
         "counter_units": {
-            "invalidations": "flushed cache entries",
             "invalidation_calls": "invalidate() calls",
         },
     }

@@ -44,8 +44,7 @@ class ZipfFlows(FlowSampler):
     """Zipf-distributed flow popularity: P(rank r) ~ 1 / r^skew.
 
     ``skew=0.9`` and ``0.99`` are the classic YCSB workload shapes; the
-    higher the skew, the fewer distinct flows carry most packets (and the
-    hotter a flow cache runs).
+    higher the skew, the fewer distinct flows carry most packets.
     """
 
     def __init__(self, n_flows: int, skew: float = 0.99):

@@ -9,7 +9,7 @@ packages one reproducible workload per module:
   flow ID onto a packet, byte-identical for the same ID — so flow-level
   samplers (:mod:`repro.traffic.flows`) produce cacheable flow structure,
 * the module's **statefulness** (whether its data path touches stateful
-  memory, i.e. whether a flow cache can ever serve it).
+  memory, i.e. whether the compiled classifier can ever serve it).
 
 Flow IDs cover hit *and* miss behavior: for match-table modules, the low
 flow IDs map onto installed rules and the tail exercises the default
@@ -196,10 +196,10 @@ def cache_hostile_stream(spec: ModuleWorkload, vid: int,
     """``count`` packets drawn uniformly from a flow space that dwarfs
     any exact-match flow cache.
 
-    This is the adversarial regime for the PR 2 flow cache: with
-    ``n_flows`` far above the cache capacity and uniform popularity,
-    nearly every packet misses and — without compiled classification —
-    degrades to the scalar stage-by-stage walk. Every workload's
+    This is the adversarial regime for any exact-match result cache:
+    with ``n_flows`` far above a cache's capacity and uniform
+    popularity, nearly every packet is a fresh flow — only compiled
+    classification keeps it off the scalar stage-by-stage walk. Every workload's
     ``flow_packet`` maps the widened flow-ID range onto valid, mostly
     distinct packets (match-table modules spill past their installed
     rules into the miss/default path, which is the point: misses are

@@ -1,11 +1,9 @@
-"""Compiled flow classification (flow cache v2) and the PR 7 accounting
-fixes.
+"""Compiled flow classification and the engine's accounting.
 
 Covers the compiler's structure (exact hash, ternary intervals, linear
-residual, stateful/uncompilable bails), the engine's three-level hot
-path and its counters, epoch-driven rebuild/purge, the invalidation
-counter-unit fix, flow-cache replace accounting, the mid-batch layout
-staleness regression, and flow-cache edge cases.
+residual, stateful/uncompilable bails), the engine's two-level hot path
+(compiled → scalar) and its counters, epoch-driven rebuild/purge,
+invalidation accounting, and the mid-batch layout staleness regression.
 """
 
 import pytest
@@ -13,12 +11,12 @@ import pytest
 from repro.api import Switch, Tenant
 from repro.core import MenshenPipeline
 from repro.core.reconfig import ResourceId, ResourceType, build_reconfig_packet
-from repro.engine import BatchEngine, FlowCache, FlowEntry, compile_classifier
+from repro.engine import BatchEngine, compile_classifier
 from repro.errors import ConfigError, PacketError
 from repro.modules import firewall
 from repro.rmt.encodings import encode_parser_entry
 from repro.rmt.key_extractor import CmpOp, KeyExtractEntry
-from repro.rmt.phv import PHV, ContainerRef, ContainerType
+from repro.rmt.phv import ContainerRef, ContainerType
 from repro.runtime import MenshenController
 from repro.traffic import cache_hostile_stream, workload
 from seeds import rng as make_rng
@@ -167,32 +165,33 @@ class TestCompilerStructure:
 
 
 # ---------------------------------------------------------------------------
-# the three-level hot path
+# the hot path's levels (compiled -> scalar)
 # ---------------------------------------------------------------------------
 
 class TestThreeLevelHotPath:
-    def test_compiled_hit_seeds_the_exact_match_cache(self):
-        _switch, engine = _firewall_switch(enable_cache=True,
-                                           enable_classifier=True)
+    """Level attribution on the hot path. The exact-match cache level
+    that once sat in front of the classifier is gone; two remain."""
+
+    def test_repeated_flow_is_served_compiled_every_time(self):
+        _switch, engine = _firewall_switch(enable_classifier=True)
         packet = workload("firewall").flow_packet(3, 1)
         first = engine.process(packet.copy())
         second = engine.process(packet.copy())
         counters = engine.counters
-        assert not first.cache_hit and second.cache_hit
-        assert counters.compiled_hits == 1
-        assert counters.cache_hits == 1
-        assert counters.cache_misses == 1     # the seeding insert
-        assert engine.shard(3).stats.insertions == 1
+        assert first.egress_port == second.egress_port
+        assert first.packet.tobytes() == second.packet.tobytes()
+        assert counters.compiled_hits == 2
+        assert counters.cache_hits == 0
+        assert counters.compile_rebuilds == 1
 
     def test_uniform_traffic_is_served_compiled(self):
-        _switch, engine = _firewall_switch(enable_cache=True,
-                                           enable_classifier=True)
+        _switch, engine = _firewall_switch(enable_classifier=True)
         packets = cache_hostile_stream(workload("firewall"), 3,
                                        make_rng(713), 500)
         engine.process_batch(packets)
         counters = engine.counters
-        assert counters.compiled_hits + counters.cache_hits == 500
-        assert counters.compiled_hits > 400   # uniform => mostly misses
+        assert counters.compiled_hits == 500
+        assert counters.cache_hits == 0
         assert not counters.classifier_fallbacks
 
     def test_stateful_flows_fall_back_with_reason(self):
@@ -204,7 +203,6 @@ class TestThreeLevelHotPath:
         counters = engine.counters
         assert counters.compiled_hits == 0
         assert counters.classifier_fallbacks.get("stateful") == 20
-        assert counters.uncacheable == 20
 
     def test_uncompilable_module_falls_back_and_oracle_faults(self):
         switch, engine = _firewall_switch(enable_classifier=True)
@@ -231,8 +229,7 @@ class TestThreeLevelHotPath:
         assert engine.counters.classifier_fallbacks.get("parse-window") == 1
 
     def test_classifier_disabled_takes_scalar_path(self):
-        _switch, engine = _firewall_switch(enable_cache=False,
-                                           enable_classifier=False)
+        _switch, engine = _firewall_switch(enable_classifier=False)
         packets = [workload("firewall").flow_packet(3, i) for i in range(10)]
         engine.process_batch(packets)
         assert engine.counters.compiled_hits == 0
@@ -275,105 +272,26 @@ class TestRebuildAndPurge:
 
 
 # ---------------------------------------------------------------------------
-# satellite 1: invalidation counter units
+# invalidation accounting
 # ---------------------------------------------------------------------------
 
 class TestInvalidationAccounting:
-    def test_invalidations_count_flushed_entries(self):
-        _switch, engine = _firewall_switch(enable_cache=True)
-        spec = workload("firewall")
-        engine.process_batch([spec.flow_packet(3, i) for i in range(5)])
-        cached = len(engine.shard(3))
-        assert cached == 5
-        flushed = engine.invalidate(3)
-        assert flushed == 5
-        assert engine.counters.invalidations == 5
-        assert engine.counters.invalidation_calls == 1
-        # Same unit as the shard's own stats.
-        assert engine.shard(3).stats.invalidations == 5
-
     def test_noop_invalidate_counts_the_call_only(self):
         _switch, engine = _firewall_switch()
-        assert engine.invalidate(999) == 0
-        assert engine.counters.invalidations == 0
+        engine.invalidate(999)
         assert engine.counters.invalidation_calls == 1
+        assert engine.counters.compile_rebuilds == 0
 
     def test_invalidate_vid_with_layout_but_no_shard(self):
-        # A VID whose layout (and classifier) exist but whose shard
-        # does not: invalidate must not trip over the missing shard and
-        # must still purge the layout and classifier. (The engine only
-        # grows shards alongside layouts, so the state is constructed.)
-        _switch, engine = _firewall_switch(enable_cache=False,
-                                           enable_classifier=True)
+        # The engine keeps no per-VID cache shard, only a layout and a
+        # classifier: invalidate must purge both.
+        _switch, engine = _firewall_switch(enable_classifier=True)
         engine.process(workload("firewall").flow_packet(3, 1))
         assert 3 in engine._layouts
-        del engine._shards[3]
-        assert engine.invalidate(3) == 0
-        assert engine.counters.invalidations == 0
+        engine.invalidate(3)
         assert engine.counters.invalidation_calls == 1
         assert 3 not in engine._layouts
         assert not engine.classifier_stats()
-
-
-# ---------------------------------------------------------------------------
-# satellite 2: flow-cache replace accounting; satellite 4: edge cases
-# ---------------------------------------------------------------------------
-
-def _entry(epoch):
-    return FlowEntry(epoch=epoch, phv=PHV(), writes=(), dropped=False)
-
-
-def _occupancy_holds(cache):
-    stats = cache.stats
-    return len(cache) == (stats.insertions - stats.evictions
-                          - stats.replacements - stats.invalidations)
-
-
-class TestFlowCacheEdges:
-    def test_replace_is_counted_and_occupancy_tracks(self):
-        cache = FlowCache(4)
-        cache.insert(("k",), _entry(1))
-        cache.insert(("k",), _entry(2))     # same key: replacement
-        assert cache.stats.insertions == 2
-        assert cache.stats.replacements == 1
-        assert cache.stats.evictions == 0
-        assert len(cache) == 1 and _occupancy_holds(cache)
-
-    def test_capacity_one_lru_churn(self):
-        cache = FlowCache(1)
-        cache.insert(("a",), _entry(0))
-        cache.insert(("b",), _entry(0))     # evicts a
-        assert cache.lookup(("a",), 0) is None
-        assert cache.lookup(("b",), 0) is not None
-        cache.insert(("a",), _entry(0))     # evicts b
-        assert cache.lookup(("b",), 0) is None
-        assert len(cache) == 1
-        assert cache.stats.evictions == 2
-        assert cache.stats.replacements == 0
-        assert _occupancy_holds(cache)
-
-    def test_stale_entry_overwritten_before_lookup(self):
-        # A stale-epoch entry replaced by insert() before any lookup
-        # purges it: counted as a replacement, not an invalidation.
-        cache = FlowCache(4)
-        cache.insert(("k",), _entry(1))
-        cache.insert(("k",), _entry(2))     # re-learned under new epoch
-        hit = cache.lookup(("k",), 2)
-        assert hit is not None and hit.epoch == 2
-        assert cache.stats.invalidations == 0
-        assert cache.stats.replacements == 1
-        assert _occupancy_holds(cache)
-
-    def test_stale_entry_purged_by_lookup(self):
-        cache = FlowCache(4)
-        cache.insert(("k",), _entry(1))
-        assert cache.lookup(("k",), 2) is None
-        assert cache.stats.invalidations == 1
-        assert len(cache) == 0 and _occupancy_holds(cache)
-
-    def test_hit_rate_with_zero_traffic(self):
-        cache = FlowCache(4)
-        assert cache.stats.hit_rate == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +310,11 @@ class TestMidBatchLayoutStaleness:
 
         scalar = build()
         batched = build()
-        engine = batched.engine(scheduled=False, enable_cache=True,
-                                enable_classifier=True)
+        engine = batched.engine(scheduled=False, enable_classifier=True)
 
         # Truncate the firewall's parse program to its first action:
         # later fields stay zero, so match behavior visibly changes,
-        # and the engine's cached layout regions become stale.
+        # and the engine's recorded layout becomes stale.
         actions = scalar.pipeline.parser.read_program(3)
         assert len(actions) > 1
         truncated = encode_parser_entry([actions[0].encode()])
@@ -420,10 +337,14 @@ class TestMidBatchLayoutStaleness:
                 assert a.packet.tobytes() == b.packet.tobytes(), f"packet {i}"
 
         # The layout served after the barrier is the rewritten one, not
-        # the one cached when the batch started.
+        # the one recorded when the batch started.
         layout = engine._layouts[3]
         assert layout.epoch == batched.pipeline.config_epoch
-        assert len(layout.regions) == 1
+        (action,) = batched.pipeline.parser.read_program(3)
+        deparse = batched.pipeline.deparser.read_program(3)
+        assert layout.max_end == max(
+            a.bytes_from_head + a.container.size_bytes
+            for a in (action, *deparse))
         # And the rewrite is observable: some flow that appears on both
         # sides of the barrier changed its scalar verdict, so the
         # equivalence above really did exercise a stale-layout hazard.

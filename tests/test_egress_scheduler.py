@@ -11,6 +11,7 @@ order preservation, the real-time statistics feed, `Tenant.set_weight`
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import Switch, Tenant
 from repro.core import MenshenPipeline, PipelineStats
@@ -462,3 +463,135 @@ class TestEventDrivenClockSemantics:
         assert sched.port_rate_of(1) == 1e6
         with pytest.raises(ConfigError):
             sched.set_port_rate(0, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# running gauges and the dirty-port contract, over random operations
+# ---------------------------------------------------------------------------
+
+GAUGE_PORTS = 3
+GAUGE_VIDS = (1, 2, 3)
+
+_vids = st.sampled_from(GAUGE_VIDS)
+_ports = st.integers(0, GAUGE_PORTS - 1)
+_sizes = st.sampled_from((64, 300, 1500))
+
+#: One scheduler operation; every mutation path the gauges and the
+#: dirty set must follow.
+gauge_ops = st.one_of(
+    st.tuples(st.just("enqueue"), _vids, _ports, _sizes),
+    st.tuples(st.just("multicast"), _vids, _sizes),
+    st.tuples(st.just("advance"),
+              st.sampled_from((0.0, 1e-5, 2e-4, 5e-4, 3e-3))),
+    st.tuples(st.just("dequeue"), _ports),
+    st.tuples(st.just("drain"), _ports),
+    st.tuples(st.just("purge"), _vids),
+    st.tuples(st.just("drop_queued")),
+    st.tuples(st.just("rate_limit"), _vids,
+              st.sampled_from((2e4, 1e5, 1e6)),
+              st.sampled_from((None, 1500.0, 4000.0))),
+    st.tuples(st.just("clear_rate_limit"), _vids),
+    st.tuples(st.just("port_rate"), _ports, st.sampled_from((1e6, 8e6))),
+    st.tuples(st.just("line_rate"), st.sampled_from((2e6, 8e6))),
+)
+
+
+def _apply_gauge_op(sched, op, clock):
+    """Apply one op; returns the (monotone) time the next advance
+    starts from."""
+    kind = op[0]
+    if kind == "enqueue":
+        _, vid, port, size = op
+        sched.enqueue(pkt(size=size, vid=vid), port, module_id=vid)
+    elif kind == "multicast":
+        _, vid, size = op
+        sched.enqueue(pkt(size=size, vid=vid), 0, mcast_group=1,
+                      module_id=vid)
+    elif kind == "advance":
+        clock = max(clock, sched.clock) + op[1]
+        sched.advance_to(clock)
+    elif kind == "dequeue":
+        sched.dequeue(op[1])
+    elif kind == "drain":
+        sched.drain(op[1])
+    elif kind == "purge":
+        sched.purge(op[1])
+    elif kind == "drop_queued":
+        sched.drop_queued()
+    elif kind == "rate_limit":
+        _, vid, rate, burst = op
+        sched.set_rate_limit(vid, rate, burst)
+    elif kind == "clear_rate_limit":
+        sched.clear_rate_limit(op[1])
+    elif kind == "port_rate":
+        sched.set_port_rate(op[1], op[2])
+    elif kind == "line_rate":
+        sched.line_rate_bps = op[1]
+    return clock
+
+
+class TestRunningGaugesAndDirtyPorts:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(gauge_ops, min_size=1, max_size=40))
+    # Pinned token-bucket cases, each hinging on one marking path:
+    # serving one multicast copy drains the bucket the other copy's
+    # port consults;
+    @example([("rate_limit", 1, 2e4, 1500.0), ("multicast", 1, 1500),
+              ("dequeue", 0)])
+    # a fresh (full) bucket replaces a drained one under a queued head;
+    @example([("rate_limit", 1, 2e4, 1500.0), ("enqueue", 1, 0, 1500),
+              ("enqueue", 1, 0, 1500), ("dequeue", 0),
+              ("rate_limit", 1, 2e4, 1500.0)])
+    # a throttled head is uncapped;
+    @example([("rate_limit", 1, 2e4, 1500.0), ("enqueue", 1, 0, 1500),
+              ("enqueue", 1, 0, 1500), ("dequeue", 0),
+              ("clear_rate_limit", 1)])
+    # an advance refills a throttled small head, which then overtakes
+    # another tenant's committed (slow, large) transmission;
+    @example([("rate_limit", 1, 2e4, 1500.0), ("enqueue", 2, 0, 1500),
+              ("enqueue", 1, 0, 1500), ("dequeue", 0), ("dequeue", 0),
+              ("port_rate", 0, 1e6), ("enqueue", 1, 0, 64),
+              ("enqueue", 2, 0, 1500), ("advance", 3e-3)])
+    # a query at an advanced port clock refills a bucket that another
+    # port's queued copy consults;
+    @example([("rate_limit", 1, 2e4, 1500.0), ("multicast", 1, 1500),
+              ("dequeue", 2), ("multicast", 1, 1500),
+              ("port_rate", 1, 8e6)])
+    # the clock idles forward to a throttled head's committed start
+    # while its bucket is already refilled past that instant.
+    @example([("enqueue", 2, 1, 1500), ("drain", 1),
+              ("rate_limit", 1, 2e4, 1500.0), ("enqueue", 1, 0, 64),
+              ("enqueue", 1, 0, 1500), ("dequeue", 0), ("advance", 0.0)])
+    def test_gauges_recount_and_clean_ports_keep_their_answer(self, ops):
+        stats = PipelineStats()
+        sched = EgressScheduler(num_ports=GAUGE_PORTS, queue_capacity=4,
+                                line_rate_bps=8e6, stats=stats)
+        sched.set_mcast_group(1, [0, 2])
+        last = [None] * GAUGE_PORTS   # every port starts idle
+        clock = 0.0
+        for op in ops:
+            clock = _apply_gauge_op(sched, op, clock)
+
+            # Running counters == a brute-force recount of the FIFOs.
+            fifos = [state.fifos for state in sched._ports]
+            for vid in GAUGE_VIDS:
+                depth = sum(len(f.get(vid, ())) for f in fifos)
+                assert sched.queue_depth(vid) == depth, (op, vid)
+                assert stats.egress_queue_depth.get(vid, 0) == depth, \
+                    (op, vid)
+            for port in range(GAUGE_PORTS):
+                assert sched.queue_len(port) == sum(
+                    len(q) for q in fifos[port].values()), (op, port)
+            assert sched.total_queued() == sum(
+                len(q) for f in fifos for q in f.values())
+
+            # Dirty contract: a port left out of take_dirty() answers
+            # exactly as it did when last asked. (A query may itself
+            # refill a token bucket and so dirty another port; such a
+            # port is reported by the *next* take_dirty().)
+            dirty = set(sched.take_dirty())
+            for port in range(GAUGE_PORTS):
+                answer = sched.next_departure_at(port)
+                if port not in dirty and port not in sched._dirty:
+                    assert answer == last[port], (op, port)
+                last[port] = answer

@@ -1,13 +1,12 @@
-"""Differential conformance: batched+cached execution vs the scalar path.
+"""Differential conformance: batched+compiled execution vs the scalar path.
 
 The :class:`repro.engine.BatchEngine` contract is packet-for-packet
 equivalence with ``pipeline.process``. These tests enforce it across all
-eight evaluated modules on seeded zipf flow traffic (so warm cache-hit
-paths are exercised, not just cold misses), across API reconfiguration
-mid-stream (cached verdicts must die with the configuration that
-produced them), and across dataplane reconfiguration packets *inside* a
-batch (Corundum mode), where the engine must flush pending shards before
-the configuration write lands.
+eight evaluated modules on seeded zipf flow traffic, across API
+reconfiguration mid-stream (compiled verdicts must die with the
+configuration that produced them), and across dataplane reconfiguration
+packets *inside* a batch (Corundum mode), where the engine must flush
+pending shards before the configuration write lands.
 """
 
 import pytest
@@ -17,7 +16,6 @@ from repro.core.reconfig import ResourceId, ResourceType, build_reconfig_packet
 from repro.traffic import TraceReplayer, ZipfFlows, all_workloads, flow_stream, workload
 from seeds import rng as make_rng
 
-WARMUP = 120    #: packets before assertions about hits kick in
 ROUNDS = 360
 
 
@@ -101,16 +99,14 @@ def assert_same_observable_state(scalar, batched):
 
 
 # ---------------------------------------------------------------------------
-# all eight modules, warm cache included
+# all eight modules
 # ---------------------------------------------------------------------------
 
-#: Engine configurations the equivalence contract is pinned under:
-#: the full three-level hot path, and classifier-only (exact-match
-#: cache off), which forces *every* pure packet through the compiled
-#: path instead of letting warm flows hide behind cache hits.
+#: Engine configurations the equivalence contract is pinned under: the
+#: compiled classifier in front of the scalar walk, forced on whatever
+#: ``REPRO_ENGINE_CLASSIFIER`` says.
 ENGINE_MODES = {
-    "cached": {"enable_classifier": True},
-    "classifier-only": {"enable_cache": False, "enable_classifier": True},
+    "classifier-only": {"enable_classifier": True},
 }
 
 
@@ -131,28 +127,18 @@ def test_batched_equals_scalar(spec, mode):
     assert_same_observable_state(scalar, batched)
 
     counters = engine.counters
+    assert counters.cache_hits == 0
     if spec.stateful:
-        # State-carrying modules must never be served from the cache or
-        # the compiled path: every packet hits a stateful leaf, bails,
-        # and takes the scalar walk.
-        assert counters.cache_hits == 0
+        # State-carrying modules must never be served from the compiled
+        # path: every packet hits a stateful leaf, bails, and takes the
+        # scalar walk.
         assert counters.compiled_hits == 0
-        assert counters.uncacheable == ROUNDS
         assert counters.classifier_fallbacks.get("stateful") == ROUNDS
-    elif mode == "classifier-only":
-        # With the exact-match level off, every pure packet must be a
-        # compiled hit — otherwise this test silently stops covering
-        # the classifier.
-        assert counters.compiled_hits == ROUNDS
-        assert counters.cache_hits == 0
-        assert not counters.classifier_fallbacks
     else:
-        # Zipf-0.9 over a warm cache must actually hit; otherwise this
-        # test silently stops covering the cached path. Cold misses are
-        # served by the compiled level, never the scalar walk.
-        assert counters.cache_hits > WARMUP
-        assert any(r.cache_hit for r in engine_results[WARMUP:])
-        assert counters.cache_hits + counters.compiled_hits == ROUNDS
+        # Every pure packet must be a compiled hit — otherwise this
+        # test silently stops covering the classifier.
+        assert counters.compiled_hits == ROUNDS
+        assert not counters.classifier_fallbacks
 
 
 def test_two_tenants_interleaved():
@@ -170,8 +156,11 @@ def test_two_tenants_interleaved():
     engine_results = engine.process_batch([p.copy() for p in packets])
     assert_equivalent(scalar_results, engine_results, "interleaved")
     assert_same_observable_state(scalar, batched)
-    assert engine.counters.tenant(1).cache_hits > 0
-    assert engine.counters.tenant(2).cache_hits > 0
+    # Each tenant is served by its own classifier, compiled once.
+    assert engine.counters.tenant(1).compiled_hits == ROUNDS // 2
+    assert engine.counters.tenant(2).compiled_hits == ROUNDS // 2
+    assert engine.counters.compile_rebuilds == 2
+    assert sorted(engine.classifier_stats()) == [1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +168,7 @@ def test_two_tenants_interleaved():
 # ---------------------------------------------------------------------------
 
 def test_api_reconfig_mid_stream_invalidates():
-    """Cached verdicts must not survive a rule change between batches."""
+    """Compiled verdicts must not survive a rule change between batches."""
     fw = workload("firewall")
     rng = make_rng(160)
     scalar, batched, engine = build_pair([(3, fw)])
@@ -190,7 +179,8 @@ def test_api_reconfig_mid_stream_invalidates():
     first_a = [scalar.process(p.copy()) for p in packets[:half]]
     first_b = engine.process_batch([p.copy() for p in packets[:half]])
     assert_equivalent(first_a, first_b, "pre-reconfig")
-    assert engine.counters.cache_hits > 0
+    assert engine.counters.compiled_hits == half
+    rebuilds_before = engine.counters.compile_rebuilds
 
     # Same transactional rule wipe on both switches: every ACL entry
     # goes away, so previously-blocked flows now pass through.
@@ -201,24 +191,23 @@ def test_api_reconfig_mid_stream_invalidates():
             for handle in acl.handles():
                 txn.table("acl").delete(handle)
 
-    hits_before_second_half = engine.counters.cache_hits
     second_a = [scalar.process(p.copy()) for p in packets[half:]]
     second_b = engine.process_batch([p.copy() for p in packets[half:]])
     assert_equivalent(second_a, second_b, "post-reconfig")
     assert_same_observable_state(scalar, batched)
 
     # The old verdicts really differed (flow 0 was blocked, now flows),
-    # so equivalence above proves stale entries were not served.
+    # so equivalence above proves stale verdicts were not served.
     blocked_flow = fw.flow_packet(3, 0)
     assert scalar.process(blocked_flow.copy()).forwarded
-    # And the cache re-learned rather than replayed: the first packet of
-    # each flow after the wipe was a miss.
-    assert engine.counters.cache_misses > 0
-    assert engine.counters.cache_hits > hits_before_second_half  # re-warmed
+    # And the classifier was recompiled for the new rules rather than
+    # replayed, then served the whole second half.
+    assert engine.counters.compile_rebuilds > rebuilds_before
+    assert engine.counters.compiled_hits == len(packets)
 
 
 def test_module_update_and_evict_invalidate():
-    """tenant.update()/evict() flush the tenant's cached flows."""
+    """tenant.update()/evict() drop the tenant's compiled classifier."""
     fw = workload("firewall")
     qos = workload("qos")
     scalar, batched, engine = build_pair([(1, fw), (2, qos)])
@@ -229,7 +218,8 @@ def test_module_update_and_evict_invalidate():
         scalar.process(pkt_fw.copy())
         scalar.process(pkt_qos.copy())
         engine.process_batch([pkt_fw.copy(), pkt_qos.copy()])
-    assert engine.shard(1).stats.hits > 0
+    assert engine.counters.tenant(1).compiled_hits == 3
+    rebuilds = engine.counters.compile_rebuilds
 
     # Replace tenant 1's program with the same source but no rules:
     # every flow now takes the default path.
@@ -239,6 +229,8 @@ def test_module_update_and_evict_invalidate():
     b = engine.process(pkt_fw.copy())
     assert_equivalent([a], [b], "post-update")
     assert a.egress_port == 0  # the allow rule is gone
+    assert engine.counters.compile_rebuilds > rebuilds
+    rebuilds = engine.counters.compile_rebuilds
 
     # Evicting drops the module: packets become unknown_module drops.
     for switch in (scalar, batched):
@@ -247,14 +239,15 @@ def test_module_update_and_evict_invalidate():
     b = engine.process(pkt_fw.copy())
     assert_equivalent([a], [b], "post-evict")
     assert b.drop_reason == "unknown_module"
-    assert len(engine.shard(1)) == 0
-    # The untouched tenant's entries survive the eviction (only the
-    # evicted VID's shard was flushed). They were stamped under an older
-    # global epoch, so they re-validate lazily: next packet re-learns.
-    assert len(engine.shard(2)) > 0
-    c = engine.process(pkt_qos.copy())
-    assert not c.cache_hit                      # re-learned, not stale
-    assert engine.process(pkt_qos.copy()).cache_hit  # and hot again
+    assert 1 not in engine.classifier_stats()
+    # The untouched tenant's classifier survives the eviction (only the
+    # evicted VID's was dropped), but it was compiled under an older
+    # global epoch, so the next packet recompiles it.
+    assert 2 in engine.classifier_stats()
+    c = scalar.process(pkt_qos.copy())
+    d = engine.process(pkt_qos.copy())
+    assert_equivalent([c], [d], "neighbor post-evict")
+    assert engine.counters.compile_rebuilds > rebuilds
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +260,7 @@ def test_reconfig_packet_inside_batch():
     The write zeroes the firewall's stage-0 key mask, so every flow
     stops matching its ACL entries (lookup key collapses to zero) and
     falls through to the default path — an observable behavior flip that
-    cached entries must not paper over.
+    a stale compiled classifier must not paper over.
     """
     fw = workload("firewall")
     rng = make_rng(170)

@@ -7,14 +7,11 @@ API, overlay/segment partitioning in hardware) to the engine layer:
   tenants' traffic, each tenant observes exactly the results it would
   observe running alone. In particular, two tenants whose packets are
   byte-identical except for the VID (same flows, different rules) never
-  see each other's cached verdicts — the per-VID shards are a hard
-  boundary, like the CAM module-ID check they mirror.
+  see each other's verdicts — the per-VID compiled classifiers are a
+  hard boundary, like the CAM module-ID check they mirror.
 * **Invalidation soundness** — across random sequences of traffic and
-  transactional rule flips, and under arbitrarily small cache
-  capacities (eviction pressure), the engine never diverges from a
-  scalar twin processing the same global sequence.
-* **FlowCache unit properties** — capacity is a hard bound, LRU keeps
-  the hot key, stale epochs never hit.
+  transactional rule flips, the engine never diverges from a scalar
+  twin processing the same global sequence.
 
 All randomness is Hypothesis-driven and derandomized, so runs are
 reproducible; scenario constants derive from ``tests/seeds.py``.
@@ -25,8 +22,6 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.api import Switch, TenantIsolationError
-from repro.engine import FlowCache, FlowEntry
-from repro.rmt.phv import PHV
 from repro.traffic import workload
 from seeds import SEED, rng as make_rng
 
@@ -35,7 +30,7 @@ ENGINE_SETTINGS = settings(max_examples=15, deadline=None,
 
 FW = workload("firewall")
 
-#: Flow IDs small enough to revisit often (cache hits + rule coverage).
+#: Flow IDs small enough to revisit often (repeats + rule coverage).
 flow_ids = st.integers(0, 12)
 
 
@@ -70,7 +65,7 @@ def fw_switch(vid_rules):
 
 
 # ---------------------------------------------------------------------------
-# interleaving independence / shard isolation
+# interleaving independence / per-VID isolation
 # ---------------------------------------------------------------------------
 
 class TestInterleavingIsolation:
@@ -81,9 +76,9 @@ class TestInterleavingIsolation:
         """Tenant 1 has rules, tenant 2 has none; same flow space.
 
         Packets of the two tenants differ only in the VLAN VID, so a
-        cache that keyed flows without per-VID sharding would serve
-        tenant 1's verdicts (drops! rewrites!) to tenant 2. Each
-        tenant's interleaved results must equal its solo run.
+        classifier shared across VIDs would serve tenant 1's verdicts
+        (drops! rewrites!) to tenant 2. Each tenant's interleaved
+        results must equal its solo run.
         """
         engine = fw_switch([(1, True), (2, False)]).engine()
         packets = [FW.flow_packet(vid, fid) for vid, fid in arrivals]
@@ -106,19 +101,20 @@ class TestInterleavingIsolation:
         qos_spec.admit(switch, vid=2)
         engine = switch.engine()
         engine.process_batch([FW.flow_packet(1, 1).copy() for _ in range(4)])
-        cached_before = len(engine.shard(1))
+        rebuilds_before = engine.counters.compile_rebuilds
         with pytest.raises(TenantIsolationError):
             switch.tenant(2).table("acl").insert(
                 match={"hdr.ipv4.srcAddr": 1, "hdr.udp.dstPort": 1},
                 action="block")
-        # The denied attempt is a no-op end to end: tenant 1's shard and
-        # behavior are untouched (its allow rule still steers flow 1).
-        assert len(engine.shard(1)) == cached_before
+        # The denied attempt is a no-op end to end: no configuration
+        # write landed (tenant 1's classifier is reused, not rebuilt) and
+        # its allow rule still steers flow 1.
         assert engine.process(FW.flow_packet(1, 1).copy()).egress_port == 2
+        assert engine.counters.compile_rebuilds == rebuilds_before
 
 
 # ---------------------------------------------------------------------------
-# invalidation soundness under random traffic / reconfig / eviction
+# invalidation soundness under random traffic / reconfig
 # ---------------------------------------------------------------------------
 
 class TestInvalidationSoundness:
@@ -157,67 +153,9 @@ class TestInvalidationSoundness:
                         FW.install(tenant)
                 installed = not installed
 
-    @ENGINE_SETTINGS
-    @given(st.integers(1, 4),
-           st.lists(flow_ids, min_size=1, max_size=60))
-    def test_eviction_pressure_stays_exact(self, capacity, fids):
-        """A cache of any capacity — even 1 — never changes results."""
-        scalar = fw_switch([(3, True)])
-        engine = fw_switch([(3, True)]).engine(cache_capacity=capacity)
-        packets = [FW.flow_packet(3, fid) for fid in fids]
-        a = [scalar.process(p.copy()) for p in packets]
-        b = engine.process_batch([p.copy() for p in packets])
-        for i, (ra, rb) in enumerate(zip(a, b)):
-            assert result_view(ra) == result_view(rb), i
-            assert ra.phv == rb.phv, i
-        assert len(engine.shard(3)) <= capacity
 
-
-# ---------------------------------------------------------------------------
-# FlowCache unit properties
-# ---------------------------------------------------------------------------
-
-def _entry(epoch):
-    return FlowEntry(epoch=epoch, phv=PHV(), writes=(), dropped=False)
-
-
-class TestFlowCacheProperties:
-    @given(st.integers(1, 8),
-           st.lists(st.tuples(st.integers(0, 20), st.integers(0, 3)),
-                    min_size=1, max_size=80))
-    @settings(derandomize=True)
-    def test_capacity_is_a_hard_bound_and_stale_never_hits(self, capacity,
-                                                           ops):
-        cache = FlowCache(capacity)
-        shadow = {}
-        for key, epoch in ops:
-            hit = cache.lookup((key,), epoch)
-            if hit is not None:
-                # Anything served must be live and epoch-correct.
-                assert hit.epoch == epoch
-                assert shadow.get(key) == epoch
-            cache.insert((key,), _entry(epoch))
-            shadow[key] = epoch
-            assert len(cache) <= capacity
-            # Occupancy invariant: every removal path has exactly one
-            # counter, and a same-key overwrite counts as a replacement.
-            stats = cache.stats
-            assert len(cache) == (stats.insertions - stats.evictions
-                                  - stats.replacements
-                                  - stats.invalidations)
-
-    def test_lru_keeps_the_hot_key(self):
-        cache = FlowCache(2)
-        cache.insert(("hot",), _entry(0))
-        cache.insert(("warm",), _entry(0))
-        assert cache.lookup(("hot",), 0) is not None   # refresh hot
-        cache.insert(("cold",), _entry(0))             # evicts warm
-        assert cache.lookup(("hot",), 0) is not None
-        assert cache.lookup(("warm",), 0) is None
-        assert cache.stats.evictions == 1
-
-    def test_seed_constant_documented(self):
-        # The shared seed is the one documented in tests/seeds.py; the
-        # scenario rng derives from it.
-        assert SEED == 20260611
-        assert make_rng(0).random() == make_rng(0).random()
+def test_seed_constant_documented():
+    # The shared seed is the one documented in tests/seeds.py; the
+    # scenario rng derives from it.
+    assert SEED == 20260611
+    assert make_rng(0).random() == make_rng(0).random()

@@ -304,8 +304,7 @@ class TestCertificateModel:
 def _firewall_engine(**kw):
     switch = Switch.build().create()
     workload("firewall").admit(switch, vid=3)
-    engine = switch.engine(scheduled=False, enable_cache=False,
-                           enable_classifier=True, **kw)
+    engine = switch.engine(scheduled=False, enable_classifier=True, **kw)
     packets = [workload("firewall").flow_packet(3, i) for i in range(8)]
     return switch, engine, packets
 

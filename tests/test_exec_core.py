@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.api import Switch
 from repro.errors import FabricError
 from repro.exec import (
     ExecutionCore,
@@ -193,3 +194,222 @@ class TestLostRecordUnification:
             [("leaf0", _packet(i=i)) for i in range(4)])
         assert result.lost_records() == []
         assert len(result.delivered_for(1)) == 4
+
+# ------------------------------------------ dirty-port service differential
+
+class FullScanCore(ExecutionCore):
+    """Test oracle: after every hop, query *every* port's next departure
+    (the scan the core ran before it tracked dirty ports) and schedule
+    from that. The production core must produce the same events.
+
+    On the way it checks the scheduler's side of the bargain: a port
+    left out of ``take_dirty()`` must answer exactly as it did on the
+    previous scan — otherwise some mutation forgot to mark it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.answers = {}
+
+    def schedule_services(self, member) -> None:
+        scheduler = member.scheduler
+        dirty = set(scheduler.take_dirty())
+        for port in range(member.num_ports):
+            at = scheduler.next_departure_at(port)
+            key = (member.name, port)
+            if port not in dirty and key in self.answers:
+                assert at == self.answers[key], (
+                    f"{key} changed from {self.answers[key]} to {at} "
+                    f"at t={self.sim.now} without being marked dirty")
+            self.answers[key] = at
+            if at is None:
+                continue
+            if key in self._pending and self._pending[key] <= at + 1e-15:
+                continue
+            self._pending[key] = at
+            self.sim.schedule(max(0.0, at - self.sim.now),
+                              lambda m=member, p=port, t=at:
+                              self._service(m, p, t))
+
+
+#: vid -> packet size; mixed, so which head a port picks moves its
+#: next departure.
+DIFF_SIZES = {1: 600, 2: 200, 3: 900, 5: 400, 6: 1200}
+DIFF_DURATION = 4e-3
+
+
+def _diff_fabric():
+    """2 leaves x 2 spines; 1 Gbit/s spine links under 3 Gbit/s host
+    ports, so uplinks congest and host and spine ports pace at
+    different rates."""
+    from repro.fabric.topology import Fabric
+
+    fabric = Fabric(default_link_rate_bps=1e9, host_rate_bps=3e9)
+    for leaf in ("leaf0", "leaf1"):
+        fabric.add_switch(leaf, builder=Switch.build().ports(HOSTS + 2))
+    for spine in ("spine0", "spine1"):
+        fabric.add_switch(spine, builder=Switch.build().ports(2))
+    for i, leaf in enumerate(("leaf0", "leaf1")):
+        for j, spine in enumerate(("spine0", "spine1")):
+            fabric.connect(leaf, HOSTS + j, spine, i, delay_s=2e-6)
+    return fabric
+
+
+def _diff_tenants(fabric, matrix, specs):
+    """``specs``: (vid, src leaf, dst leaf, spine, offered Gbit/s)."""
+    tenants = {}
+    for vid, src, dst, spine, gbps in specs:
+        tenant = fabric.tenant(
+            f"calc{vid}", calc.P4_SOURCE, vid=vid,
+            installer=lambda t, port: calc.install(t, port=port))
+        tenant.place((src, vid % HOSTS), (dst, vid % HOSTS), via=(spine,))
+        size = DIFF_SIZES[vid]
+        matrix.add(vid, (src, vid % HOSTS), (dst, vid % HOSTS),
+                   offered_bps=gbps * 1e9, packet_size=size,
+                   make_packet=lambda vid=vid, size=size: calc.make_packet(
+                       vid, calc.OP_ADD, vid, 1, pad_to=size))
+        tenants[vid] = tenant
+    return tenants
+
+
+def _write_then_serve(experiment, switch, t, action):
+    """At ``t``, apply a control-plane write on ``switch`` and run a
+    service pass there at once — before the next packet event can
+    dirty its ports for other reasons, so the pass sees exactly which
+    ports the write itself marked."""
+
+    def fire():
+        action()
+        experiment.core.schedule_services(experiment.fabric.switch(switch))
+
+    experiment.schedule_reconfig(0, t, apply=fire)
+
+
+def _scenario_stfq_weights():
+    fabric, matrix = _diff_fabric(), TrafficMatrix()
+    tenants = _diff_tenants(fabric, matrix, [
+        (1, "leaf0", "leaf1", "spine0", 0.5),
+        (2, "leaf0", "leaf1", "spine0", 0.5),
+        (3, "leaf0", "leaf1", "spine0", 0.5),
+        (5, "leaf1", "leaf0", "spine1", 0.4),
+        (6, "leaf1", "leaf0", "spine1", 0.9)])
+    for vid, weight in ((1, 1.0), (2, 2.0), (3, 4.0), (5, 3.0), (6, 1.0)):
+        tenants[vid].set_weight(weight)
+    return FabricTimelineExperiment(fabric, matrix,
+                                    duration_s=DIFF_DURATION)
+
+
+def _scenario_rate_limits():
+    fabric, matrix = _diff_fabric(), TrafficMatrix()
+    tenants = _diff_tenants(fabric, matrix, [
+        (1, "leaf0", "leaf1", "spine0", 0.4),
+        (2, "leaf0", "leaf1", "spine0", 0.4),
+        (3, "leaf0", "leaf1", "spine1", 0.6),
+        (5, "leaf1", "leaf0", "spine1", 0.5),
+        (6, "leaf1", "leaf0", "spine0", 0.2)])
+    # Both spine0 tenants capped below their offer: that uplink's heads
+    # are all throttled at once, so the scheduler idles the link
+    # forward to the earliest eligibility.
+    tenants[1].set_rate_limit(30e6, burst_bytes=3000)
+    tenants[2].set_rate_limit(20e6, burst_bytes=2000)
+    tenants[3].set_rate_limit(40e6, burst_bytes=1000)
+    tenants[5].set_rate_limit(50e6, burst_bytes=3000)
+    experiment = FabricTimelineExperiment(fabric, matrix,
+                                          duration_s=DIFF_DURATION)
+    leaf0, leaf1 = fabric.switch("leaf0"), fabric.switch("leaf1")
+    spine1 = fabric.switch("spine1")
+
+    def at(t, switch, action):
+        _write_then_serve(experiment, switch, t, action)
+
+    # Control-plane writes under load, repeated so each lands on a
+    # backlogged port many times: reprice an uplink and a spine port,
+    # retime every host port, re-arm one tenant's bucket and toggle
+    # another's cap on and off. They continue past the offered window,
+    # while only throttled backlogs drain.
+    for k in range(24):
+        t = 0.3e-3 + k * 0.25e-3
+        fast = k % 2 == 0
+        at(t, "leaf0", lambda r=(1.5e9 if fast else 1e9):
+           leaf0.scheduler.set_port_rate(HOSTS + 1, r))
+        at(t + 0.05e-3, "spine1", lambda r=(0.6e9 if fast else 1e9):
+           spine1.scheduler.set_port_rate(0, r))
+        at(t + 0.1e-3, "leaf1", lambda r=(0.4e9 if fast else 3e9):
+           setattr(leaf1.scheduler, "line_rate_bps", r))
+        at(t + 0.15e-3, "leaf1",
+           lambda: leaf1.switch.tenant(5).set_rate_limit(50e6, 3000))
+        if fast:
+            at(t + 0.2e-3, "leaf0",
+               lambda: leaf0.switch.tenant(2).clear_rate_limit())
+        else:
+            at(t + 0.2e-3, "leaf0",
+               lambda: leaf0.switch.tenant(2).set_rate_limit(20e6, 2000))
+    return experiment
+
+
+def _scenario_lifecycle_and_chaos():
+    from repro.chaos import ChaosController, ChaosSchedule
+    from repro.exec.parallel import TenantUpdateOp
+
+    fabric, matrix = _diff_fabric(), TrafficMatrix()
+    tenants = _diff_tenants(fabric, matrix, [
+        (1, "leaf0", "leaf1", "spine0", 0.6),
+        (2, "leaf0", "leaf1", "spine0", 0.6),
+        (3, "leaf0", "leaf1", "spine1", 0.5),
+        (5, "leaf1", "leaf0", "spine1", 0.7),
+        (6, "leaf1", "leaf0", "spine0", 0.3)])
+    tenants[1].set_weight(3.0)
+    experiment = FabricTimelineExperiment(fabric, matrix,
+                                          duration_s=DIFF_DURATION)
+    # A backlogged tenant unloaded mid-run: its queues are purged.
+    _write_then_serve(experiment, "leaf0", 0.7e-3, tenants[2].unload)
+    experiment.schedule_reconfig(
+        1, 1.0e-3, duration_s=0.3e-3,
+        op=TenantUpdateOp.for_tenant(tenants[1], calc.P4_SOURCE))
+    schedule = ChaosSchedule()
+    schedule.crash_switch("spine1", 1.6e-3)
+    schedule.restore_switch("spine1", 2.4e-3)
+    schedule.flap_link("leaf1", "spine0", 2.8e-3, 3.2e-3)
+    ChaosController(fabric).arm(experiment, schedule)
+    # Right behind the crash, a pass on the crashed spine's neighbor
+    # and one on the spine itself (its queues were just scrubbed).
+    _write_then_serve(experiment, "spine1", 1.6e-3, lambda: None)
+    return experiment
+
+
+DIFF_SCENARIOS = {
+    "stfq-weights": _scenario_stfq_weights,
+    "rate-limits": _scenario_rate_limits,
+    "lifecycle-and-chaos": _scenario_lifecycle_and_chaos,
+}
+
+
+def _run_with_core(monkeypatch, core_cls, scenario):
+    import repro.sim.fabric_timeline as fabric_timeline
+
+    monkeypatch.setattr(fabric_timeline, "ExecutionCore", core_cls)
+    experiment = DIFF_SCENARIOS[scenario]()
+    result = experiment.run()
+    assert type(experiment.core) is core_cls
+    return result, experiment.core.sim.events_processed
+
+
+class TestDirtyPortService:
+    """Dirty-port service schedules exactly the events a scan over
+    every port would: same simulated outcome, same event count."""
+
+    @pytest.mark.parametrize("scenario", sorted(DIFF_SCENARIOS))
+    def test_matches_full_scan_oracle(self, monkeypatch, scenario):
+        expected, expected_events = _run_with_core(
+            monkeypatch, FullScanCore, scenario)
+        actual, actual_events = _run_with_core(
+            monkeypatch, ExecutionCore, scenario)
+        assert actual.delivered == expected.delivered
+        assert actual.latencies_s == expected.latencies_s
+        assert actual.lost == expected.lost
+        assert actual.loss_log == expected.loss_log
+        assert actual == expected
+        assert actual_events == expected_events
+        # The scenario really exercised contention.
+        assert sum(expected.delivered.values()) > 0
+        assert max(max(lat) for lat in expected.latencies_s.values()) \
+            > 10 * max(DIFF_SIZES.values()) * 8 / 1e9

@@ -183,21 +183,21 @@ class TestCounterAlgebra:
         """EngineCounters' nested per-tenant dataclasses merge and diff
         through the same introspected helpers."""
         src = EngineCounters()
-        src.cache_hits += 1
-        src.tenant(1).cache_hits += 1
+        src.compiled_hits += 1
+        src.tenant(1).compiled_hits += 1
         src.classifier_fallbacks["stateful"] = 2
         baseline = src.snapshot()
-        src.cache_hits += 1
-        src.tenant(2).cache_hits += 1
+        src.compiled_hits += 1
+        src.tenant(2).compiled_hits += 1
         delta = src.delta_since(baseline)
-        assert delta.cache_hits == 1
-        assert delta.per_tenant[1].cache_hits == 0
-        assert delta.per_tenant[2].cache_hits == 1
+        assert delta.compiled_hits == 1
+        assert delta.per_tenant[1].compiled_hits == 0
+        assert delta.per_tenant[2].compiled_hits == 1
         assert delta.classifier_fallbacks == {"stateful": 0}
         dst = EngineCounters()
         dst.merge_from(delta)
-        assert dst.per_tenant[2].cache_hits == 1
-        assert dst.per_tenant[1].cache_hits == 0
+        assert dst.per_tenant[2].compiled_hits == 1
+        assert dst.per_tenant[1].compiled_hits == 0
 
 
 # -- 2. picklability ----------------------------------------------------------

@@ -25,7 +25,7 @@ def test_json_flag_emits_parseable_inventory(capsys):
 
 
 def test_json_engine_section(capsys):
-    """The engine section documents the three-level hot path and its
+    """The engine section documents the two-level hot path and its
     counter schema, and can never drift from the dataclasses."""
     import dataclasses
 
@@ -35,24 +35,20 @@ def test_json_engine_section(capsys):
     engine = json.loads(capsys.readouterr().out)["engine"]
 
     levels = engine["hot_path_levels"]
-    assert [lvl["level"] for lvl in levels] == [1, 2, 3]
+    assert [lvl["level"] for lvl in levels] == [1, 2]
     assert [lvl["name"] for lvl in levels] == \
-        ["flow_cache", "compiled_classifier", "scalar_pipeline"]
+        ["compiled_classifier", "scalar_pipeline"]
 
     counter_fields = {f.name for f in dataclasses.fields(EngineCounters)}
     assert set(engine["counters"]) <= counter_fields
-    assert {"cache_hits", "compiled_hits", "invalidations",
-            "invalidation_calls", "compile_rebuilds"} <= \
-        set(engine["counters"])
+    assert {"compiled_hits", "invalidation_calls",
+            "compile_rebuilds"} <= set(engine["counters"])
     assert set(engine["tenant_counters"]) == \
         {f.name for f in dataclasses.fields(EngineTenantCounters)}
 
     assert set(engine["fallback_reasons"]) == \
         {"stateful", "unsupported-action", "uncompilable", "parse-window",
          "uncertified"}
-    # The satellite-1 unit fix is part of the documented schema.
-    assert engine["counter_units"]["invalidations"] == \
-        "flushed cache entries"
     assert engine["counter_units"]["invalidation_calls"] == \
         "invalidate() calls"
 
