@@ -12,8 +12,7 @@ import pathlib
 import sys
 
 from conftest import report
-from repro.api import Switch, Tenant
-from repro.core import MenshenPipeline
+from repro.api import Switch
 from repro.engine import BatchEngine
 from repro.modules import (
     calc,
@@ -23,7 +22,6 @@ from repro.modules import (
     netchain,
     source_routing,
 )
-from repro.runtime import MenshenController
 from repro.traffic import ZipfFlows, flow_stream, workload
 
 # Randomized traffic derives from the repository-wide test seed.
@@ -32,33 +30,30 @@ from seeds import rng as make_rng  # noqa: E402
 
 
 def _trio_a():
-    pipe = MenshenPipeline()
-    ctl = MenshenController(pipe)
-    ctl.load_module(1, calc.P4_SOURCE, "calc")
-    calc.install(Tenant.attach(ctl, 1), port=1)
-    ctl.load_module(2, firewall.P4_SOURCE, "firewall")
-    firewall.install(Tenant.attach(ctl, 2), blocked=[("10.0.0.66", 53)],
-                             allowed=[("10.0.0.1", 80, 4)])
-    ctl.load_module(3, netcache.P4_SOURCE, "netcache")
-    netcache.install(Tenant.attach(ctl, 3), cached=[(0xAAAA, 0, 42)])
-    return pipe, ctl
+    sw = Switch()
+    tenant = sw.admit("calc", calc.P4_SOURCE, vid=1)
+    calc.install(tenant, port=1)
+    tenant = sw.admit("firewall", firewall.P4_SOURCE, vid=2)
+    firewall.install(tenant, blocked=[("10.0.0.66", 53)],
+                     allowed=[("10.0.0.1", 80, 4)])
+    tenant = sw.admit("netcache", netcache.P4_SOURCE, vid=3)
+    netcache.install(tenant, cached=[(0xAAAA, 0, 42)])
+    return sw.pipeline
 
 
 def _trio_b():
-    pipe = MenshenPipeline()
-    ctl = MenshenController(pipe)
-    ctl.load_module(1, load_balancer.P4_SOURCE, "lb")
-    load_balancer.install(Tenant.attach(ctl, 1),
-                                  flows=[("10.0.0.1", 1111, 2, 8001)])
-    ctl.load_module(2, source_routing.P4_SOURCE, "srcroute")
-    source_routing.install(Tenant.attach(ctl, 2))
-    ctl.load_module(3, netchain.P4_SOURCE, "netchain")
-    netchain.install(Tenant.attach(ctl, 3), port=6)
-    return pipe, ctl
+    sw = Switch()
+    tenant = sw.admit("lb", load_balancer.P4_SOURCE, vid=1)
+    load_balancer.install(tenant, flows=[("10.0.0.1", 1111, 2, 8001)])
+    tenant = sw.admit("srcroute", source_routing.P4_SOURCE, vid=2)
+    source_routing.install(tenant)
+    tenant = sw.admit("netchain", netchain.P4_SOURCE, vid=3)
+    netchain.install(tenant, port=6)
+    return sw.pipeline
 
 
 def test_behavior_isolation_trio_a(benchmark):
-    pipe, _ctl = _trio_a()
+    pipe = _trio_a()
     rounds = 50
     checks = {"calc_correct": 0, "firewall_block": 0, "firewall_allow": 0,
               "netcache_hit": 0}
@@ -86,7 +81,7 @@ def test_behavior_isolation_trio_a(benchmark):
 
 
 def test_behavior_isolation_trio_b(benchmark):
-    pipe, _ctl = _trio_b()
+    pipe = _trio_b()
     rounds = 50
     checks = {"lb_steered": 0, "srcroute_port": 0, "netchain_monotonic": 0}
     last_seq = 0

@@ -11,10 +11,8 @@ from __future__ import annotations
 import pytest
 
 from conftest import report
-from repro.api import Tenant
-from repro.core import MenshenPipeline
+from repro.api import Switch
 from repro.modules import calc
-from repro.runtime import MenshenController
 from repro.sim import CORUNDUM_LATENCY, NETFPGA_LATENCY
 
 PAPER_POINTS = [
@@ -50,10 +48,10 @@ def test_latency_cycles_table(benchmark):
 def test_behavioral_pipeline_packet_rate(benchmark):
     """How fast the *behavioral* simulator forwards packets — a sanity
     benchmark of the reproduction itself, not a paper figure."""
-    pipe = MenshenPipeline()
-    ctl = MenshenController(pipe)
-    ctl.load_module(1, calc.P4_SOURCE, "calc")
-    calc.install(Tenant.attach(ctl, 1))
+    sw = Switch()
+    pipe = sw.pipeline
+    tenant = sw.admit("calc", calc.P4_SOURCE, vid=1)
+    calc.install(tenant)
     packet = calc.make_packet(1, calc.OP_ADD, 3, 4)
 
     def forward():

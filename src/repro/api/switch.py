@@ -468,11 +468,11 @@ class Switch:
 class Tenant:
     """Capability handle for one VID; the only sanctioned way in.
 
-    Obtained from :meth:`Switch.admit`. Holding a handle is holding
-    the authority over exactly that VID's tables, registers, egress
-    configuration, and lifecycle. (:meth:`Tenant.attach` exists only
-    as a compatibility shim for code still loading modules through the
-    layered :class:`~repro.runtime.controller.MenshenController`.)
+    Obtained from :meth:`Switch.admit` (or :meth:`Switch.tenant`, which
+    also adopts a module loaded through the layered
+    :class:`~repro.runtime.controller.MenshenController`). Holding a
+    handle is holding the authority over exactly that VID's tables,
+    registers, egress configuration, and lifecycle.
     """
 
     def __init__(self, switch: Switch, vid: int, name: str = ""):
@@ -482,13 +482,6 @@ class Tenant:
         self._name = name or f"module{vid}"
         #: entries installed through this handle, for transactional undo
         self._entry_log: Dict[Tuple[str, int], TableEntry] = {}
-
-    @classmethod
-    def attach(cls, controller: MenshenController, vid: int) -> "Tenant":
-        """Compatibility shim: adopt a module loaded through the
-        layered API. New code should build a :class:`Switch` and use
-        :meth:`Switch.admit` / :meth:`Switch.tenant` instead."""
-        return Switch(controller=controller).tenant(vid)
 
     def __repr__(self) -> str:
         return f"Tenant(vid={self._vid}, name={self._name!r})"

@@ -22,7 +22,7 @@ This module closes it:
   ``line_rate_bps``, or advanced explicitly via :meth:`advance_to`)
   refills buckets deterministically, so experiments replay bit-for-bit.
 * :class:`Departure` records — every transmitted packet carries its
-  departure timestamp, so :mod:`repro.sim.timeline` can measure
+  departure timestamp, so :mod:`repro.sim.fabric_timeline` can measure
   per-tenant latency under contention, not just throughput.
 
 The scheduler feeds per-tenant queue depth and transmitted-byte gauges
@@ -613,8 +613,9 @@ class EgressScheduler:
     def advance_to(self, now: float) -> List[Departure]:
         """Serve every packet whose transmission completes by ``now``.
 
-        The timed entry point :mod:`repro.sim.timeline` drives: packets
-        depart in scheduling order as each output link
+        The timed entry point :mod:`repro.sim.fabric_timeline` drives
+        through :class:`repro.exec.ExecutionCore`: packets depart in
+        scheduling order as each output link
         (``line_rate_bps``) transmits them — ports are independent
         links, so their clocks advance in parallel — and each
         :class:`Departure` carries its timestamp, so latency under

@@ -1,16 +1,14 @@
 """``repro.exec`` — the unified execution core.
 
 One :class:`ExecutionCore` owns the engine-drain / departure-routing
-loop every serving frontend used to re-implement: untimed multi-hop
-waves (:func:`repro.fabric.forwarding.process_batch`), exact
+loop both serving frontends used to re-implement: untimed multi-hop
+waves (:func:`repro.fabric.forwarding.process_batch`) and exact
 event-driven fabric service
-(:class:`repro.sim.fabric_timeline.FabricTimelineExperiment`), and the
-clock-driven single-switch Fig. 10 timeline
-(:class:`repro.sim.timeline.ReconfigTimelineExperiment`). The core is
-parameterized by topology (a fabric's members, or one switch wrapped
-in :class:`SwitchMember`) and timing policy (waves, a
-:class:`repro.sim.kernel.Simulator`, or explicit clock advances);
-frontends are result shaping over an :class:`ExecutionSink`.
+(:class:`repro.sim.fabric_timeline.FabricTimelineExperiment`, which
+also runs the single-switch Fig. 10 timeline as a one-switch fabric).
+The core is parameterized by topology (a fabric's members) and timing
+policy (waves, or a :class:`repro.sim.kernel.Simulator`); frontends
+are result shaping over an :class:`ExecutionSink`.
 
 :class:`~repro.exec.records.LostRecord` is the shared typed currency
 for link-down losses, so the untimed and timed paths report dropped
@@ -22,7 +20,7 @@ timeline path — selected per call (``backend="process"``) or via
 ``REPRO_EXEC_BACKEND``.
 """
 
-from .core import ExecutionCore, ExecutionSink, SwitchMember, vid_of
+from .core import ExecutionCore, ExecutionSink, vid_of
 from .parallel import (
     EXEC_BACKENDS,
     FabricOp,
@@ -37,7 +35,6 @@ from .records import LostRecord, summarize_lost
 __all__ = [
     "ExecutionCore",
     "ExecutionSink",
-    "SwitchMember",
     "vid_of",
     "LostRecord",
     "summarize_lost",

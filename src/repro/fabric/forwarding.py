@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exec import ExecutionCore, ExecutionSink, LostRecord, summarize_lost
-from ..exec import vid_of as _vid_of  # noqa: F401  (compat re-export)
 from ..net.packet import Packet
 from ..rmt.pipeline import PipelineResult
 from .topology import Fabric

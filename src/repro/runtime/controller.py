@@ -15,9 +15,9 @@ software-to-hardware interface:
   overlay write logs).
 * **Unload**: invalidate and zero everything the module owned, then
   release the partitions.
-* **Entry management**: P4Runtime-style ``table_add``/``table_delete``
-  bound to the module's CAM partition, and register access through the
-  module's segment.
+* **Entry management**: typed :meth:`MenshenController.insert_entry`
+  / :meth:`MenshenController.table_delete` bound to the module's CAM
+  partition, and register access through the module's segment.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from ..rmt.encodings import (
     encode_segment_entry,
     encode_tcam_entry,
 )
-from ..rmt.entry_types import ActionCall, Exact, Match, TableEntry, Ternary
+from ..rmt.entry_types import TableEntry
 from .interface import SoftwareHardwareInterface
 
 
@@ -462,8 +462,8 @@ class MenshenController:
                      entry: TableEntry) -> int:
         """Install one typed match-action entry; returns an entry handle.
 
-        This is the canonical installation path: the :mod:`repro.api`
-        facade and the dict-based :meth:`table_add` shim both land here.
+        This is the one installation path: the :mod:`repro.api`
+        facade's :meth:`~repro.api.TableHandle.insert` lands here.
         For ternary tables (Appendix B), :class:`~repro.rmt.entry_types.
         Ternary` field specs carry the bit masks (exact specs match
         all bits); entries take slots in installation order within the
@@ -510,33 +510,6 @@ class MenshenController:
         state.next_handle += 1
         state.entries[handle] = cam_index
         return handle
-
-    def table_add(self, module_id: int, table_name: str,
-                  key_values: Dict[str, int], action_name: str,
-                  action_params: Optional[Dict[str, int]] = None,
-                  key_masks: Optional[Dict[str, int]] = None) -> int:
-        """Install one entry from loose dicts (P4Runtime-style shim).
-
-        ``key_masks`` maps ternary key fields to bit masks (omitted
-        fields match exactly). Converts to a typed
-        :class:`~repro.rmt.entry_types.TableEntry` and delegates to
-        :meth:`insert_entry`.
-        """
-        key_masks = key_masks or {}
-        fields: Dict[str, object] = {}
-        for dotted, value in key_values.items():
-            if dotted in key_masks:
-                fields[dotted] = Ternary(value, key_masks[dotted])
-            else:
-                fields[dotted] = Exact(value)
-        missing = set(key_masks) - set(fields)
-        if missing:
-            raise RuntimeInterfaceError(
-                f"key_masks name fields without values: {sorted(missing)}")
-        entry = TableEntry(match=Match(fields),
-                           action=ActionCall(action_name,
-                                             dict(action_params or {})))
-        return self.insert_entry(module_id, table_name, entry)
 
     def table_delete(self, module_id: int, table_name: str,
                      handle: int) -> None:

@@ -1,10 +1,12 @@
 """Event-driven fabric timeline: end-to-end latency and throughput.
 
-The fabric-level counterpart of the single-switch Fig. 10 harness
-(:mod:`repro.sim.timeline`). A :class:`repro.traffic.TrafficMatrix`
-describes per-tenant source→destination demand between attachment
-points; this experiment replays its deterministic arrival schedule
-through a :class:`repro.fabric.Fabric` on the discrete-event kernel
+The one timed experiment harness, from a single switch (the Fig. 10
+run in ``benchmarks/bench_fig10_reconfig_disruption.py`` is a
+one-switch fabric) to a leaf-spine. A
+:class:`repro.traffic.TrafficMatrix` describes per-tenant
+source→destination demand between attachment points; this experiment
+replays its deterministic arrival schedule through a
+:class:`repro.fabric.Fabric` on the discrete-event kernel
 (:class:`repro.sim.kernel.Simulator`), with the engine-drain /
 departure-routing loop supplied by the unified execution core
 (:class:`repro.exec.ExecutionCore` under its event-driven policy):
@@ -54,12 +56,11 @@ from .kernel import Simulator
 class FabricReconfigEvent:
     """One timed tenant-lifecycle action inside a running timeline.
 
-    The fabric-scale analogue of
-    :class:`repro.sim.timeline.ReconfigEvent`: at ``start_s`` the
-    optional ``apply`` callable runs (e.g. ``tenant.update(...)``,
-    ``tenant.migrate(...)``, or a placement from a churn schedule),
-    then the §4.1 update bit for ``vid`` is set on every switch
-    currently hosting it; at ``start_s + duration_s`` the bit clears.
+    At ``start_s`` the optional ``apply`` callable runs (e.g.
+    ``tenant.update(...)``, ``tenant.migrate(...)``, or a placement
+    from a churn schedule), then the §4.1 update bit for ``vid`` is
+    set on every switch currently hosting it; at
+    ``start_s + duration_s`` the bit clears.
     During the window the tenant's packets drop at those switches —
     the §4.1 procedure's disruption, scoped to exactly one tenant —
     while every other tenant keeps forwarding.

@@ -9,12 +9,12 @@ from any particular fabric: it knows hosts by ``(switch_name, port)``
 and emits a deterministic, merged arrival schedule the fabric timeline
 (:mod:`repro.sim.fabric_timeline`) replays.
 
-Arrivals follow the same convention as the single-switch timeline
-(:class:`repro.sim.timeline.ReconfigTimelineExperiment`): evenly spaced
-per demand at a configurable sampling ``scale`` (one simulated packet
-stands for ``scale`` real packets), phase-shifted per demand so
-same-rate demands interleave instead of colliding, and sorted by time —
-bit-for-bit replayable with no RNG involved.
+Arrivals are evenly spaced per demand at a configurable sampling
+``scale`` (one simulated packet stands for ``scale`` real packets),
+phase-shifted per demand so same-rate demands interleave instead of
+colliding, and sorted by time — bit-for-bit replayable with no RNG
+involved. A single-switch experiment is a matrix over one switch's
+host ports.
 """
 
 from __future__ import annotations

@@ -351,23 +351,6 @@ class TestTransactions:
 
 
 class TestDeprecationShims:
-    def test_module_installers_warn_but_work(self):
-        pipeline = MenshenPipeline()
-        controller = MenshenController(pipeline)
-        controller.load_module(3, calc.P4_SOURCE, "calc")
-        with pytest.deprecated_call():
-            calc.install_entries(controller, 3, port=2)
-        result = pipeline.process(calc.make_packet(3, calc.OP_ADD, 1, 1))
-        assert calc.read_result(result.packet) == 2
-
-    def test_sysmod_installers_warn_but_work(self):
-        pipeline = MenshenPipeline()
-        controller = MenshenController(pipeline)
-        with pytest.deprecated_call():
-            from repro.sysmod import setup_system_module
-            setup_system_module(controller, routes={"10.0.0.2": 1})
-        assert controller.system_module is not None
-
     def test_admission_error_when_full(self):
         switch = Switch.build().max_modules(2).create()
         switch.admit("only", calc.P4_SOURCE)  # VID 1 of [1]

@@ -8,7 +8,7 @@ invalidation accounting, and the mid-batch layout staleness regression.
 
 import pytest
 
-from repro.api import Switch, Tenant
+from repro.api import Match, Switch, Ternary
 from repro.core import MenshenPipeline
 from repro.core.reconfig import ResourceId, ResourceType, build_reconfig_packet
 from repro.engine import BatchEngine, compile_classifier
@@ -17,7 +17,6 @@ from repro.modules import firewall
 from repro.rmt.encodings import encode_parser_entry
 from repro.rmt.key_extractor import CmpOp, KeyExtractEntry
 from repro.rmt.phv import ContainerRef, ContainerType
-from repro.runtime import MenshenController
 from repro.traffic import cache_hostile_stream, workload
 from seeds import rng as make_rng
 
@@ -33,15 +32,14 @@ def _ternary_pair(install):
     """Two identically configured ternary pipelines + an engine."""
 
     def build():
-        pipe = MenshenPipeline(match_mode="ternary")
-        ctl = MenshenController(pipe)
-        ctl.load_module(2, firewall.P4_SOURCE_TERNARY, "fw-ternary")
-        install(ctl)
-        return pipe, ctl
+        switch = Switch(pipeline=MenshenPipeline(match_mode="ternary"))
+        install(switch.admit("fw-ternary", firewall.P4_SOURCE_TERNARY,
+                             vid=2))
+        return switch.pipeline
 
-    scalar, _ = build()
-    batched, ctl = build()
-    return scalar, batched, ctl, BatchEngine(batched, enable_classifier=True)
+    scalar = build()
+    batched = build()
+    return scalar, batched, BatchEngine(batched, enable_classifier=True)
 
 
 def _random_fw_packets(rng, count, vid=2):
@@ -86,12 +84,11 @@ class TestCompilerStructure:
         assert stats.stateful_leaves == 0
 
     def test_ternary_prefixes_compile_to_intervals(self):
-        def install(ctl):
+        def install(tenant):
             firewall.install_prefix(
-                Tenant.attach(ctl, 2),
-                blocked_prefixes=[("10.66.0.0", 16)], default_port=3)
+                tenant, blocked_prefixes=[("10.66.0.0", 16)], default_port=3)
 
-        _scalar, batched, _ctl, engine = _ternary_pair(install)
+        _scalar, batched, engine = _ternary_pair(install)
         clf = compile_classifier(batched, 2, batched.config_epoch)
         stats = clf.stats()
         assert stats.ok
@@ -102,19 +99,17 @@ class TestCompilerStructure:
     def test_non_contiguous_mask_falls_back_to_residual(self):
         from repro.net import Ipv4Address
 
-        def install(ctl):
+        def install(tenant):
             # Wildcard bits interleaved with match bits: no contiguous
             # range in the compacted key space, so the stage compiles to
             # the linear value/mask residual instead.
-            ctl.table_add(2, "acl",
-                          {"hdr.ipv4.srcAddr": int(Ipv4Address("10.0.10.0")),
-                           "hdr.udp.dstPort": 0},
-                          "block",
-                          key_masks={"hdr.ipv4.srcAddr": 0xFF00FF00,
-                                     "hdr.udp.dstPort": 0})
-            firewall.install_prefix(Tenant.attach(ctl, 2), default_port=5)
+            tenant.table("acl").insert(Match({
+                "hdr.ipv4.srcAddr": Ternary(int(Ipv4Address("10.0.10.0")),
+                                            0xFF00FF00),
+                "hdr.udp.dstPort": Ternary(0, 0)}), "block")
+            firewall.install_prefix(tenant, default_port=5)
 
-        scalar, batched, _ctl, engine = _ternary_pair(install)
+        scalar, batched, engine = _ternary_pair(install)
         clf = compile_classifier(batched, 2, batched.config_epoch)
         stats = clf.stats()
         assert stats.ok
@@ -126,13 +121,12 @@ class TestCompilerStructure:
         assert engine.counters.compiled_hits > 0
 
     def test_ternary_priority_matches_scalar_on_overlaps(self):
-        def install(ctl):
+        def install(tenant):
             firewall.install_prefix(
-                Tenant.attach(ctl, 2),
-                blocked_prefixes=[("10.66.0.0", 16), ("10.0.0.0", 8)],
+                tenant, blocked_prefixes=[("10.66.0.0", 16), ("10.0.0.0", 8)],
                 default_port=3)
 
-        scalar, _batched, _ctl, engine = _ternary_pair(install)
+        scalar, _batched, engine = _ternary_pair(install)
         packets = _random_fw_packets(make_rng(711), 400)
         # Force traffic into the overlapping region too.
         rng = make_rng(712)

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.analysis.passes import find_loop, loop_findings
 from repro.compiler import CompilerOptions, compile_module
-from repro.compiler.static_checker import check_loop_free
 from repro.compiler.target import TargetDescription, system_target
 from repro.errors import (
     AllocationError,
@@ -66,15 +66,15 @@ class TestStaticChecker:
         assert module.table_order == ["t"]
 
     def test_loop_free_accepts_dag(self):
-        check_loop_free({"a": "b", "b": "c"})
+        assert find_loop({"a": "b", "b": "c"}) is None
 
     def test_loop_free_detects_cycle(self):
-        with pytest.raises(StaticCheckError, match="loop"):
-            check_loop_free({"a": "b", "b": "a"})
+        assert find_loop({"a": "b", "b": "a"}) == ["a", "b", "a"]
+        (finding,) = loop_findings({"a": "b", "b": "a"})
+        assert finding.code == "forwarding-loop"
 
     def test_loop_free_self_loop(self):
-        with pytest.raises(StaticCheckError):
-            check_loop_free({"a": "a"})
+        assert find_loop({"a": "a"}) == ["a", "a"]
 
 
 class TestAllocator:

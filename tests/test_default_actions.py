@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Tenant
+from repro.api import Switch
 from repro.core import MenshenPipeline
 from repro.errors import CompilerError, RuntimeInterfaceError
 from repro.modules import firewall
@@ -16,10 +16,10 @@ DEFAULT_DENY_SOURCE = firewall.P4_SOURCE.replace(
 
 class TestDefaultActions:
     def test_default_deny_firewall(self):
-        pipe = MenshenPipeline(enable_default_actions=True)
-        ctl = MenshenController(pipe)
-        ctl.load_module(2, DEFAULT_DENY_SOURCE, "fw-deny")
-        firewall.install(Tenant.attach(ctl, 2), allowed=[("10.0.0.1", 80, 3)])
+        switch = Switch(pipeline=MenshenPipeline(enable_default_actions=True))
+        pipe = switch.pipeline
+        tenant = switch.admit("fw-deny", DEFAULT_DENY_SOURCE, vid=2)
+        firewall.install(tenant, allowed=[("10.0.0.1", 80, 3)])
         # Explicitly allowed traffic flows...
         allowed = pipe.process(firewall.make_packet(2, "10.0.0.1", 80))
         assert allowed.forwarded and allowed.egress_port == 3

@@ -9,11 +9,10 @@ key slotting, deparser writeback)."""
 
 import pytest
 
-from repro.api import Tenant
+from repro.api import Switch
 from repro.core import MenshenPipeline
 from repro.modules import calc, firewall, load_balancer, netcache, qos, source_routing
 from repro.net import Ipv4Address
-from repro.runtime import MenshenController
 
 from seeds import SEED, rng as make_rng  # noqa: F401
 
@@ -21,16 +20,15 @@ ROUNDS = 200
 
 
 def fresh(module, vid=3, **pipeline_kw):
-    pipe = MenshenPipeline(**pipeline_kw)
-    ctl = MenshenController(pipe)
-    ctl.load_module(vid, module.P4_SOURCE, module.NAME)
-    return pipe, ctl
+    switch = Switch(pipeline=MenshenPipeline(**pipeline_kw))
+    return switch.pipeline, switch.admit(module.NAME, module.P4_SOURCE,
+                                         vid=vid)
 
 
 class TestCalcDifferential:
     def test_randomized_opcodes_and_operands(self):
-        pipe, ctl = fresh(calc)
-        calc.install(Tenant.attach(ctl, 3), port=1)
+        pipe, tenant = fresh(calc)
+        calc.install(tenant, port=1)
         rng = make_rng(0)
         for _ in range(ROUNDS):
             op = rng.choice([calc.OP_ADD, calc.OP_SUB, calc.OP_ECHO, 99])
@@ -43,14 +41,14 @@ class TestCalcDifferential:
 
 class TestFirewallDifferential:
     def test_randomized_acl(self):
-        pipe, ctl = fresh(firewall)
+        pipe, tenant = fresh(firewall)
         rng = make_rng(1)
         blocked = [(f"10.0.{rng.randrange(256)}.{rng.randrange(256)}",
                     rng.randrange(1, 65536)) for _ in range(2)]
         allowed = [(f"10.1.{rng.randrange(256)}.{rng.randrange(256)}",
                     rng.randrange(1, 65536), rng.randrange(1, 8))
                    for _ in range(2)]
-        firewall.install(Tenant.attach(ctl, 3), blocked=blocked, allowed=allowed)
+        firewall.install(tenant, blocked=blocked, allowed=allowed)
 
         def golden(src, dport):
             if (src, dport) in blocked:
@@ -75,10 +73,10 @@ class TestFirewallDifferential:
 
 class TestQosDifferential:
     def test_randomized_classes(self):
-        pipe, ctl = fresh(qos)
+        pipe, tenant = fresh(qos)
         classes = [(5060, qos.DSCP_EF), (8801, qos.DSCP_AF41),
                    (4789, 18), (6081, 10)]
-        qos.install(Tenant.attach(ctl, 3), classes=classes)
+        qos.install(tenant, classes=classes)
         table = dict(classes)
         rng = make_rng(2)
         ports = [c[0] for c in classes] + [80, 443, 53]
@@ -90,11 +88,11 @@ class TestQosDifferential:
 
 class TestLoadBalancerDifferential:
     def test_randomized_flows(self):
-        pipe, ctl = fresh(load_balancer)
+        pipe, tenant = fresh(load_balancer)
         rng = make_rng(3)
         flows = [(f"10.0.0.{i}", 1000 + i, (i % 7) + 1, 8000 + i)
                  for i in range(4)]
-        load_balancer.install(Tenant.attach(ctl, 3), flows=flows)
+        load_balancer.install(tenant, flows=flows)
         table = {(Ipv4Address(src).value, sport): (port, dport)
                  for src, sport, port, dport in flows}
         for _ in range(ROUNDS):
@@ -115,8 +113,8 @@ class TestLoadBalancerDifferential:
 
 class TestSourceRoutingDifferential:
     def test_randomized_ports_and_tags(self):
-        pipe, ctl = fresh(source_routing)
-        source_routing.install(Tenant.attach(ctl, 3))
+        pipe, tenant = fresh(source_routing)
+        source_routing.install(tenant)
         rng = make_rng(4)
         for _ in range(ROUNDS):
             port = rng.randrange(8)
@@ -133,9 +131,9 @@ class TestSourceRoutingDifferential:
 
 class TestNetcacheDifferential:
     def test_randomized_gets_with_shadow_store(self):
-        pipe, ctl = fresh(netcache)
+        pipe, tenant = fresh(netcache)
         cached = [(0x100 + i, i, 1000 + i) for i in range(4)]
-        netcache.install(Tenant.attach(ctl, 3), cached=cached)
+        netcache.install(tenant, cached=cached)
         store = {key: value for key, _slot, value in cached}
         rng = make_rng(5)
         expected_ops = 0

@@ -4,8 +4,9 @@ path (§3.5), rate limiting, and the facade/timeline wiring.
 Covers the :class:`repro.engine.scheduler.EgressScheduler` subsystem
 end-to-end — PIFO/STFQ fairness, token-bucket rate caps, per-tenant
 order preservation, the real-time statistics feed, `Tenant.set_weight`
-/ `Tenant.set_rate_limit`, and departure latencies through
-`sim/timeline.py` — plus the PIFO-layer edges the scheduler depends on.
+/ `Tenant.set_rate_limit`, and departure latencies through a one-switch
+`sim/fabric_timeline.py` run — plus the PIFO-layer edges the scheduler
+depends on.
 """
 
 import random
@@ -13,16 +14,16 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.api import Switch, Tenant
-from repro.core import MenshenPipeline, PipelineStats
+from repro.api import Switch
+from repro.core import PipelineStats
 from repro.engine import EgressScheduler, TokenBucket
 from repro.errors import ConfigError
+from repro.fabric import Fabric
 from repro.modules import calc
 from repro.net import PacketBuilder
 from repro.rmt import TrafficManager
-from repro.runtime import MenshenController
-from repro.sim import ReconfigTimelineExperiment
-from repro.traffic import workload
+from repro.sim import FabricTimelineExperiment
+from repro.traffic import TrafficMatrix, workload
 from seeds import rng as make_rng
 
 
@@ -362,25 +363,21 @@ class TestFacadeWiring:
 
 class TestTimelineLatency:
     def build(self, weights):
-        pipe = MenshenPipeline()
-        ctl = MenshenController(pipe)
-        switch = Switch(controller=ctl)
+        # Two tenants offering 4 Gbit/s each into one 5 Gbit/s host
+        # port of a one-switch fabric, unscaled: the shared egress
+        # stays backlogged for the whole run.
+        fabric = Fabric(host_rate_bps=5e9)
+        switch = fabric.add_switch("s").switch
+        matrix = TrafficMatrix()
         for vid in (1, 2):
-            ctl.load_module(vid, calc.P4_SOURCE, f"calc{vid}")
-            calc.install(Tenant.attach(ctl, vid), port=1)
-        for vid, w in weights.items():
-            switch.tenant(vid).set_weight(w)
-        engine = switch.engine(line_rate_bps=5e9)
-        exp = ReconfigTimelineExperiment(pipe, duration_s=1.0, bin_s=0.1,
-                                         scale=2000.0, engine=engine)
-        # Two tenants offering 4 Gbit/s each into a 5 Gbit/s link:
-        # sustained contention on the shared egress.
-        for vid in (1, 2):
-            exp.add_module(
-                vid, 4e9, 1500,
-                lambda vid=vid: calc.make_packet(vid, calc.OP_ADD, 1, 2,
-                                                 pad_to=1500))
-        return exp
+            tenant = switch.admit(f"calc{vid}", calc.P4_SOURCE, vid=vid)
+            calc.install(tenant, port=1)
+            tenant.set_weight(weights[vid])
+            matrix.add(vid, ("s", 0), ("s", 1), 4e9, 1500,
+                       lambda vid=vid: calc.make_packet(
+                           vid, calc.OP_ADD, 1, 2, pad_to=1500))
+        return FabricTimelineExperiment(fabric, matrix, duration_s=0.002,
+                                        scale=1.0)
 
     def test_latencies_measured_under_contention(self):
         exp = self.build({1: 1.0, 2: 1.0})
@@ -390,26 +387,17 @@ class TestTimelineLatency:
         assert result.max_latency_s(1) >= result.mean_latency_s(1)
 
     def test_heavier_weight_means_lower_latency(self):
-        exp = self.build({1: 8.0, 2: 1.0})
-        result = exp.run()
-        assert result.mean_latency_s(1) < result.mean_latency_s(2)
-
-    def test_fifo_timeline_has_no_latencies(self):
-        pipe = MenshenPipeline()
-        ctl = MenshenController(pipe)
-        ctl.load_module(1, calc.P4_SOURCE, "calc1")
-        calc.install(Tenant.attach(ctl, 1), port=1)
-        exp = ReconfigTimelineExperiment(pipe, duration_s=0.2, bin_s=0.1)
-        exp.add_module(1, 1e9, 1500,
-                       lambda: calc.make_packet(1, calc.OP_ADD, 1, 2,
-                                                pad_to=1500))
-        result = exp.run()
-        assert result.latencies_s == {}
+        result = self.build({1: 8.0, 2: 1.0}).run()
+        assert result.mean_latency_s(1) < 0.1 * result.mean_latency_s(2)
+        # Equal weights split the queueing delay evenly.
+        fair = self.build({1: 1.0, 2: 1.0}).run()
+        assert fair.mean_latency_s(1) == pytest.approx(
+            fair.mean_latency_s(2), rel=0.05)
 
 
 class TestEventDrivenClockSemantics:
     """The advance_to / next_departure_at contract the fabric timeline
-    (and the timeline drain loop) depend on."""
+    depends on."""
 
     def test_committed_transmission_is_not_redelayed(self):
         # A busy port polled by frequent small advances must not slip:

@@ -27,7 +27,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import Switch, Tenant
+from repro.api import Match, Switch, Ternary
 from repro.analysis.equiv import (
     CERTIFICATE_SCHEMA_VERSION,
     MUTATIONS,
@@ -49,7 +49,6 @@ from repro.engine.batch import (
 from repro.engine.classifier import _compact, _mask_segments
 from repro.modules import firewall
 from repro.net.packet import Packet
-from repro.runtime import MenshenController
 from repro.traffic import workload
 
 PROP_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
@@ -69,29 +68,24 @@ def _workload_pipeline(name, vid):
 
 
 def _ternary_pipeline(install, vid=2):
-    pipe = MenshenPipeline(match_mode="ternary")
-    ctl = MenshenController(pipe)
-    ctl.load_module(vid, firewall.P4_SOURCE_TERNARY, "fw-ternary")
-    install(ctl, vid)
-    return pipe, vid
+    switch = Switch(pipeline=MenshenPipeline(match_mode="ternary"))
+    install(switch.admit("fw-ternary", firewall.P4_SOURCE_TERNARY, vid=vid))
+    return switch.pipeline, vid
 
 
-def _install_intervals(ctl, vid):
+def _install_intervals(tenant):
     firewall.install_prefix(
-        Tenant.attach(ctl, vid),
-        blocked_prefixes=[("10.66.0.0", 16), ("10.0.0.0", 8)],
+        tenant, blocked_prefixes=[("10.66.0.0", 16), ("10.0.0.0", 8)],
         default_port=3)
 
 
-def _install_residual(ctl, vid):
+def _install_residual(tenant):
     from repro.net import Ipv4Address
-    ctl.table_add(vid, "acl",
-                  {"hdr.ipv4.srcAddr": int(Ipv4Address("10.0.10.0")),
-                   "hdr.udp.dstPort": 0},
-                  "block",
-                  key_masks={"hdr.ipv4.srcAddr": 0xFF00FF00,
-                             "hdr.udp.dstPort": 0})
-    firewall.install_prefix(Tenant.attach(ctl, vid), default_port=5)
+    tenant.table("acl").insert(Match({
+        "hdr.ipv4.srcAddr": Ternary(int(Ipv4Address("10.0.10.0")),
+                                    0xFF00FF00),
+        "hdr.udp.dstPort": Ternary(0, 0)}), "block")
+    firewall.install_prefix(tenant, default_port=5)
 
 
 #: name -> () -> (pipeline, vid); each exercises a distinct stage shape.

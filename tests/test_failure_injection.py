@@ -4,7 +4,7 @@ recovery behavior of the control protocols."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import Tenant
+from repro.api import Switch, TableEntry
 from repro.core import (
     MenshenPipeline,
     ResourceId,
@@ -55,8 +55,8 @@ class TestReconfigLossRecovery:
         ctl = MenshenController(pipe)
         ctl.load_module(3, calc.P4_SOURCE, "calc")
         pipe.daisy_chain.drop_next(1)
-        ctl.table_add(3, "calc_table", {"hdr.calc.op": calc.OP_ADD},
-                      "op_add", {"port": 1})
+        ctl.insert_entry(3, "calc_table", TableEntry.of(
+            {"hdr.calc.op": calc.OP_ADD}, "op_add", {"port": 1}))
         result = pipe.process(calc.make_packet(3, calc.OP_ADD, 2, 2))
         assert calc.read_result(result.packet) == 4
 
@@ -65,15 +65,16 @@ class TestReconfigLossRecovery:
         (the paper's motivation for generating fresh entries on load)."""
         pipe = MenshenPipeline()
         ctl = MenshenController(pipe)
-        ctl.load_module(3, netchain.P4_SOURCE, "chain-a")
-        netchain.install(Tenant.attach(ctl, 3))
+        sw = Switch(controller=ctl)
+        tenant = sw.admit("chain-a", netchain.P4_SOURCE, vid=3)
+        netchain.install(tenant)
         for _ in range(5):
             pipe.process(netchain.make_packet(3))
         assert ctl.register_read(3, "sequencer") == 5
         ctl.unload_module(3)
         # A different tenant takes the same module id and resources.
-        ctl.load_module(3, netchain.P4_SOURCE, "chain-b")
-        netchain.install(Tenant.attach(ctl, 3))
+        tenant = sw.admit("chain-b", netchain.P4_SOURCE, vid=3)
+        netchain.install(tenant)
         result = pipe.process(netchain.make_packet(3))
         assert netchain.read_seq(result.packet) == 1  # fresh state
 
@@ -131,10 +132,9 @@ class TestMalformedInputs:
         """A tenant sending packets shorter than its own declared headers
         only hurts itself: the parse faults and the packet is the
         tenant's problem; the pipeline survives."""
-        pipe = MenshenPipeline()
-        ctl = MenshenController(pipe)
-        ctl.load_module(3, calc.P4_SOURCE, "calc")
-        calc.install(Tenant.attach(ctl, 3))
+        sw = Switch()
+        pipe = sw.pipeline
+        calc.install(sw.admit("calc", calc.P4_SOURCE, vid=3))
         short = calc.make_packet(3, calc.OP_ADD, 1, 1)
         short.truncate(50)  # cuts into the calc header
         with pytest.raises(PacketError):

@@ -3,7 +3,6 @@ module plus all eight evaluated modules, resident simultaneously."""
 
 import pytest
 
-from repro.core import MenshenPipeline
 from repro.modules import (
     calc,
     firewall,
@@ -14,60 +13,58 @@ from repro.modules import (
     qos,
     source_routing,
 )
-from repro.runtime import MenshenController
-from repro.api import Switch, Tenant
+from repro.api import Switch
 
 
 @pytest.fixture(scope="module")
 def deployment():
-    pipe = MenshenPipeline()
-    ctl = MenshenController(pipe)
-    Switch(controller=ctl).install_system(routes={"10.0.0.2": 7})
+    sw = Switch()
+    pipe = sw.pipeline
+    sw.install_system(routes={"10.0.0.2": 7})
     pipe.traffic_manager.set_mcast_group(5, [1, 2])
 
-    ctl.load_module(1, calc.P4_SOURCE, "calc")
-    calc.install(Tenant.attach(ctl, 1), port=1)
-    ctl.load_module(2, firewall.P4_SOURCE, "firewall")
-    firewall.install(Tenant.attach(ctl, 2), blocked=[("10.0.0.66", 53)],
-                             allowed=[("10.0.0.1", 80, 2)])
-    ctl.load_module(3, load_balancer.P4_SOURCE, "lb")
-    load_balancer.install(Tenant.attach(ctl, 3),
-                                  flows=[("10.0.0.1", 1111, 3, 8001)])
-    ctl.load_module(4, qos.P4_SOURCE, "qos")
-    qos.install(Tenant.attach(ctl, 4))
-    ctl.load_module(5, source_routing.P4_SOURCE, "srcroute")
-    source_routing.install(Tenant.attach(ctl, 5))
-    ctl.load_module(6, netcache.P4_SOURCE, "netcache")
-    netcache.install(Tenant.attach(ctl, 6), cached=[(0xAA, 0, 4242)])
-    ctl.load_module(7, netchain.P4_SOURCE, "netchain")
-    netchain.install(Tenant.attach(ctl, 7), port=6)
-    ctl.load_module(8, multicast.P4_SOURCE, "multicast")
-    multicast.install(Tenant.attach(ctl, 8), groups=[("224.0.0.7", 5)])
-    return pipe, ctl
+    tenant = sw.admit("calc", calc.P4_SOURCE, vid=1)
+    calc.install(tenant, port=1)
+    tenant = sw.admit("firewall", firewall.P4_SOURCE, vid=2)
+    firewall.install(tenant, blocked=[("10.0.0.66", 53)],
+                     allowed=[("10.0.0.1", 80, 2)])
+    tenant = sw.admit("lb", load_balancer.P4_SOURCE, vid=3)
+    load_balancer.install(tenant, flows=[("10.0.0.1", 1111, 3, 8001)])
+    tenant = sw.admit("qos", qos.P4_SOURCE, vid=4)
+    qos.install(tenant)
+    tenant = sw.admit("srcroute", source_routing.P4_SOURCE, vid=5)
+    source_routing.install(tenant)
+    tenant = sw.admit("netcache", netcache.P4_SOURCE, vid=6)
+    netcache.install(tenant, cached=[(0xAA, 0, 4242)])
+    tenant = sw.admit("netchain", netchain.P4_SOURCE, vid=7)
+    netchain.install(tenant, port=6)
+    tenant = sw.admit("multicast", multicast.P4_SOURCE, vid=8)
+    multicast.install(tenant, groups=[("224.0.0.7", 5)])
+    return pipe, sw
 
 
 class TestAllEightResident:
     def test_all_loaded(self, deployment):
-        pipe, ctl = deployment
-        assert ctl.loaded_ids() == [1, 2, 3, 4, 5, 6, 7, 8]
-        assert ctl.system_module is not None
+        pipe, sw = deployment
+        assert sw.controller.loaded_ids() == [1, 2, 3, 4, 5, 6, 7, 8]
+        assert sw.controller.system_module is not None
 
     def test_modules_spread_across_user_stages(self, deployment):
-        pipe, ctl = deployment
+        pipe, sw = deployment
         # All tables sit in the user stages {1,2,3}; the balancer must
         # have used more than one stage to fit 32 CAM rows of demand.
         stages_used = set()
-        for loaded in ctl.modules.values():
+        for loaded in sw.controller.modules.values():
             stages_used.update(loaded.compiled.stages_used())
         assert stages_used <= {1, 2, 3}
         assert len(stages_used) >= 2
 
     def test_no_partition_overlaps(self, deployment):
-        pipe, ctl = deployment
+        pipe, sw = deployment
         for stage_idx in range(pipe.params.num_stages):
             taken = []
-            for loaded in list(ctl.modules.values()) + \
-                    [ctl.system_module]:
+            for loaded in list(sw.controller.modules.values()) + \
+                    [sw.controller.system_module]:
                 alloc = loaded.allocation.stage(stage_idx)
                 if alloc.match_count:
                     taken.append((loaded.module_id, alloc.match_start,
@@ -82,7 +79,7 @@ class TestAllEightResident:
         # overrides tenant PORT actions — the paper's design: the system
         # module owns physical routing; tenants only steer when the
         # system has no route (see the multicast case below).
-        pipe, ctl = deployment
+        pipe, sw = deployment
         r = pipe.process(calc.make_packet(1, calc.OP_ADD, 20, 22))
         assert calc.read_result(r.packet) == 42
         assert r.egress_port == 7
@@ -107,7 +104,7 @@ class TestAllEightResident:
         assert r.mcast_group == 5
 
     def test_interleaved_round_robin(self, deployment):
-        pipe, ctl = deployment
+        pipe, sw = deployment
         # Two full interleaved rounds: behavior stays correct.
         for _ in range(2):
             assert calc.read_result(pipe.process(
@@ -120,7 +117,7 @@ class TestAllEightResident:
                 netcache.make_get(6, 0xAA)).packet) == 4242
 
     def test_system_route_applies_to_every_module(self, deployment):
-        pipe, ctl = deployment
+        pipe, sw = deployment
         # A packet to the routed physical IP gets the system port, no
         # matter which module owns the packet.
         from repro.modules.base import common_packet
@@ -130,10 +127,10 @@ class TestAllEightResident:
         assert r.egress_port == 7
 
     def test_unload_one_reload_another(self, deployment):
-        pipe, ctl = deployment
-        ctl.unload_module(4)
+        pipe, sw = deployment
+        sw.controller.unload_module(4)
         assert pipe.process(qos.make_packet(4, 5060)).dropped
-        ctl.load_module(4, qos.P4_SOURCE, "qos")
-        qos.install(Tenant.attach(ctl, 4))
+        tenant = sw.admit("qos", qos.P4_SOURCE, vid=4)
+        qos.install(tenant)
         r = pipe.process(qos.make_packet(4, 5060))
         assert qos.read_dscp(r.packet) == qos.DSCP_EF

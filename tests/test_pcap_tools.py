@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.api import Tenant
+from repro.api import Switch
 from repro.errors import PacketError
 from repro.net import PacketBuilder, parse_layers
 from repro.traffic.pcap import load_pcap, read_pcap, save_pcap, write_pcap
@@ -72,13 +72,10 @@ class TestPcap:
 
     def test_pipeline_output_to_pcap(self, tmp_path):
         """End-to-end: forwarded packets can be exported for wireshark."""
-        from repro.core import MenshenPipeline
         from repro.modules import calc
-        from repro.runtime import MenshenController
-        pipe = MenshenPipeline()
-        ctl = MenshenController(pipe)
-        ctl.load_module(1, calc.P4_SOURCE, "calc")
-        calc.install(Tenant.attach(ctl, 1))
+        switch = Switch()
+        calc.install(switch.admit("calc", calc.P4_SOURCE, vid=1))
+        pipe = switch.pipeline
         outputs = [pipe.process(calc.make_packet(1, calc.OP_ADD, i, 1)
                                 ).packet for i in range(4)]
         path = str(tmp_path / "out.pcap")

@@ -3,7 +3,7 @@ isolation invariants."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.api import Tenant
+from repro.api import Switch
 from repro import bits
 from repro.core import OverlayTable, SegmentTable, SegmentedAccess
 from repro.core.reconfig import (
@@ -298,14 +298,11 @@ class TestEndToEndProperty:
     @given(st.sampled_from([1, 2, 3]), st.integers(0, (1 << 32) - 1),
            st.integers(0, (1 << 32) - 1))
     def test_calc_matches_reference(self, op, a, b):
-        from repro.core import MenshenPipeline
         from repro.modules import calc
-        from repro.runtime import MenshenController
 
-        pipe = MenshenPipeline()
-        ctl = MenshenController(pipe)
-        ctl.load_module(1, calc.P4_SOURCE, "calc")
-        calc.install(Tenant.attach(ctl, 1))
+        switch = Switch()
+        calc.install(switch.admit("calc", calc.P4_SOURCE, vid=1))
+        pipe = switch.pipeline
         result = pipe.process(calc.make_packet(1, op, a, b))
         assert calc.read_result(result.packet) == \
             calc.reference_result(op, a, b)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Tenant
+from repro.api import TableEntry
 from repro.compiler.resource_checker import ResourceRequest
 from repro.core import MenshenPipeline, ResourceId, ResourceType
 from repro.errors import (
@@ -20,6 +20,18 @@ from repro.rmt.params import DEFAULT_PARAMS
 def make_controller(**kw):
     pipe = MenshenPipeline()
     return pipe, MenshenController(pipe, **kw)
+
+
+def insert_all(ctl, vid, rules):
+    """Install a module's typed ``(table, entry)`` rules at the
+    controller layer."""
+    for table, entry in rules:
+        ctl.insert_entry(vid, table, entry)
+
+
+def echo_entry(op):
+    """A calc_table entry echoing operand A for opcode ``op``."""
+    return TableEntry.of({"hdr.calc.op": op}, "op_echo")
 
 
 class TestInterface:
@@ -58,7 +70,7 @@ class TestControllerLifecycle:
     def test_load_and_process(self):
         pipe, ctl = make_controller()
         ctl.load_module(3, calc.P4_SOURCE, "calc")
-        calc.install(Tenant.attach(ctl, 3))
+        insert_all(ctl, 3, calc.entries())
         res = pipe.process(calc.make_packet(3, calc.OP_ADD, 2, 3))
         assert calc.read_result(res.packet) == 5
 
@@ -66,7 +78,7 @@ class TestControllerLifecycle:
         pipe, ctl = make_controller()
         pipe.daisy_chain.drop_next(3)
         ctl.load_module(3, calc.P4_SOURCE, "calc")
-        calc.install(Tenant.attach(ctl, 3))
+        insert_all(ctl, 3, calc.entries())
         res = pipe.process(calc.make_packet(3, calc.OP_ADD, 2, 3))
         assert calc.read_result(res.packet) == 5
 
@@ -84,7 +96,7 @@ class TestControllerLifecycle:
     def test_unload_frees_and_stops_traffic(self):
         pipe, ctl = make_controller()
         ctl.load_module(3, calc.P4_SOURCE)
-        calc.install(Tenant.attach(ctl, 3))
+        insert_all(ctl, 3, calc.entries())
         ctl.unload_module(3)
         res = pipe.process(calc.make_packet(3, calc.OP_ADD, 2, 3))
         assert res.dropped and res.drop_reason == "unknown_module"
@@ -95,7 +107,7 @@ class TestControllerLifecycle:
         from repro.modules import netchain
         pipe, ctl = make_controller()
         ctl.load_module(3, netchain.P4_SOURCE)
-        netchain.install(Tenant.attach(ctl, 3))
+        insert_all(ctl, 3, netchain.entries())
         pipe.process(netchain.make_packet(3))
         pipe.process(netchain.make_packet(3))
         assert ctl.register_read(3, "sequencer", 0) == 2
@@ -107,11 +119,10 @@ class TestControllerLifecycle:
     def test_update_module_swaps_logic(self):
         pipe, ctl = make_controller()
         ctl.load_module(3, calc.P4_SOURCE, "calc")
-        calc.install(Tenant.attach(ctl, 3))
+        insert_all(ctl, 3, calc.entries())
         # Update to the firewall program under the same module id.
         ctl.update_module(3, firewall.P4_SOURCE)
-        firewall.install(Tenant.attach(ctl, 3),
-                                 blocked=[("10.0.0.1", 20000)])
+        insert_all(ctl, 3, firewall.entries(blocked=[("10.0.0.1", 20000)]))
         res = pipe.process(firewall.make_packet(3, "10.0.0.1", 20000))
         assert res.dropped and res.drop_reason == "discard"
 
@@ -119,7 +130,7 @@ class TestControllerLifecycle:
         pipe, ctl = make_controller()
         ctl.load_module(3, calc.P4_SOURCE, "calc")
         ctl.load_module(4, firewall.P4_SOURCE, "fw")
-        calc.install(Tenant.attach(ctl, 3))
+        insert_all(ctl, 3, calc.entries())
         mark = pipe.parser_table.log_position
         marks = {i: s.key_extract_table.log_position
                  for i, s in enumerate(pipe.stages)}
@@ -153,30 +164,29 @@ class TestControllerLifecycle:
             stages.update(loaded.compiled.stages_used())
         assert len(stages) >= 2  # not everything piled into stage 0
 
-    def test_table_add_full_table(self):
+    def test_insert_entry_full_table(self):
         pipe, ctl = make_controller()
         ctl.load_module(3, calc.P4_SOURCE)
         for op in range(4):
-            ctl.table_add(3, "calc_table", {"hdr.calc.op": 100 + op},
-                          "op_echo")
+            ctl.insert_entry(3, "calc_table", echo_entry(100 + op))
         with pytest.raises(RuntimeInterfaceError, match="full"):
-            ctl.table_add(3, "calc_table", {"hdr.calc.op": 999}, "op_echo")
+            ctl.insert_entry(3, "calc_table", echo_entry(999))
 
     def test_table_delete_frees_slot(self):
         pipe, ctl = make_controller()
         ctl.load_module(3, calc.P4_SOURCE)
-        handle = ctl.table_add(3, "calc_table", {"hdr.calc.op": 1},
-                               "op_echo")
+        handle = ctl.insert_entry(3, "calc_table", echo_entry(1))
         ctl.table_delete(3, "calc_table", handle)
         res = pipe.process(calc.make_packet(3, 1, 9, 0))
         assert calc.read_result(res.packet) == 0  # entry gone: no echo
-        ctl.table_add(3, "calc_table", {"hdr.calc.op": 1}, "op_echo")
+        ctl.insert_entry(3, "calc_table", echo_entry(1))
 
-    def test_table_add_unknown_action(self):
+    def test_insert_entry_unknown_action(self):
         pipe, ctl = make_controller()
         ctl.load_module(3, calc.P4_SOURCE)
         with pytest.raises(RuntimeInterfaceError):
-            ctl.table_add(3, "calc_table", {"hdr.calc.op": 1}, "nope")
+            ctl.insert_entry(3, "calc_table",
+                             TableEntry.of({"hdr.calc.op": 1}, "nope"))
 
     def test_register_rw(self):
         from repro.modules import netcache

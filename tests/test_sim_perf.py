@@ -3,23 +3,27 @@ area models, traffic generation, and the Fig. 10 timeline."""
 
 import pytest
 
-from repro.api import Tenant
 from repro.area import AsicAreaModel, FpgaResourceModel, TABLE4_REFERENCE
 from repro.sim import (
     CORUNDUM_LATENCY,
     CORUNDUM_OPTIMIZED,
     CORUNDUM_UNOPTIMIZED,
+    FabricTimelineExperiment,
     NETFPGA_LATENCY,
     NETFPGA_OPTIMIZED,
     PipelineDes,
-    ReconfigTimelineExperiment,
     Simulator,
     throughput_at,
     throughput_sweep,
 )
 from repro.sim.kernel import SimulationError
 from repro.sim.perf_model import FIG11A_SIZES, FIG11BCD_SIZES
-from repro.traffic import PacketGenerator, SizeSweep, mixed_module_stream
+from repro.traffic import (
+    PacketGenerator,
+    SizeSweep,
+    TrafficMatrix,
+    mixed_module_stream,
+)
 from repro.traffic.workloads import fig10_workload
 
 
@@ -266,29 +270,33 @@ class TestTrafficGeneration:
 
 
 class TestFig10Timeline:
+    """Fig. 10 as a one-switch fabric on the event-driven timeline."""
+
     def build(self, tofino=False):
-        from repro.core import MenshenPipeline
-        from repro.runtime import MenshenController
+        from repro.fabric import Fabric
         from repro.modules import calc
+        from repro.runtime import TofinoModel
 
-        pipe = MenshenPipeline()
-        ctl = MenshenController(pipe)
-        for vid in (1, 2, 3):
-            ctl.load_module(vid, calc.P4_SOURCE, f"calc{vid}")
-            calc.install(Tenant.attach(ctl, vid), port=vid)
-
-        exp = ReconfigTimelineExperiment(pipe, duration_s=3.0, bin_s=0.1,
-                                         scale=1000.0,
-                                         tofino_fast_refresh=tofino)
+        fabric = Fabric()
+        switch = fabric.add_switch("s").switch
+        matrix = TrafficMatrix()
         for vid, bps in fig10_workload():
-            exp.add_module(
-                vid, bps, 1500,
-                lambda vid=vid: calc.make_packet(vid, calc.OP_ADD, 1, 2,
-                                                 pad_to=1500))
-        return pipe, ctl, exp
+            calc.install(switch.admit(f"calc{vid}", calc.P4_SOURCE,
+                                      vid=vid), port=vid)
+            matrix.add(vid, ("s", 0), ("s", vid), bps, 1500,
+                       lambda vid=vid: calc.make_packet(
+                           vid, calc.OP_ADD, 1, 2, pad_to=1500))
+        exp = FabricTimelineExperiment(fabric, matrix, duration_s=3.0,
+                                       bin_s=0.1, scale=1000.0)
+        if tofino:
+            # Fast Refresh: one update stalls every module it names.
+            model = TofinoModel()
+            for vid in sorted(model.update_disruption([1, 2, 3], 1)):
+                exp.schedule_reconfig(vid, 0.5, model.disruption_window_s())
+        return exp
 
     def test_other_modules_undisturbed(self):
-        pipe, ctl, exp = self.build()
+        exp = self.build()
         exp.schedule_reconfig(1, start_s=0.5, duration_s=1.5)
         result = exp.run()
         # Modules 2 and 3 never dip below ~90% of their offered rate.
@@ -298,24 +306,22 @@ class TestFig10Timeline:
             assert min(interior) >= 0.9 * offered, vid
 
     def test_updated_module_drops_during_window(self):
-        pipe, ctl, exp = self.build()
+        exp = self.build()
         exp.schedule_reconfig(1, start_s=0.5, duration_s=1.5)
         result = exp.run()
-        inside = result.mean_throughput_inside(1, (0.6, 1.9))
-        assert inside == pytest.approx(0.0)
+        inside = result.throughput_inside(1, (0.6, 1.9))
+        assert inside and max(inside) == 0.0
         # ... and recovers afterwards.
         tail = result.throughput_gbps[1][-3:]
         assert min(tail) >= 0.9 * result.offered_gbps[1]
 
     def test_tofino_baseline_disrupts_everyone(self):
-        pipe, ctl, exp = self.build(tofino=True)
-        exp.schedule_reconfig(1, start_s=0.5, duration_s=1.5)
-        result = exp.run()
+        result = self.build(tofino=True).run()
         # During fast refresh all modules lose packets.
-        assert all(result.drops[vid] > 0 for vid in (1, 2, 3))
+        assert all(result.drops.get(vid, 0) > 0 for vid in (1, 2, 3))
 
     def test_apply_callback_invoked(self):
-        pipe, ctl, exp = self.build()
+        exp = self.build()
         called = []
         exp.schedule_reconfig(1, 0.5, 1.0, apply=lambda: called.append(1))
         exp.run()

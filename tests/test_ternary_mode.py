@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Tenant
+from repro.api import Match, Switch, TableEntry, Ternary
 from repro.core import MenshenPipeline, ResourceId, ResourceType, build_reconfig_packet
 from repro.errors import RuntimeInterfaceError
 from repro.modules import firewall
@@ -11,10 +11,9 @@ from repro.runtime import MenshenController
 
 
 def ternary_setup():
-    pipe = MenshenPipeline(match_mode="ternary")
-    ctl = MenshenController(pipe)
-    ctl.load_module(2, firewall.P4_SOURCE_TERNARY, "fw-ternary")
-    return pipe, ctl
+    switch = Switch(pipeline=MenshenPipeline(match_mode="ternary"))
+    switch.admit("fw-ternary", firewall.P4_SOURCE_TERNARY, vid=2)
+    return switch.pipeline, switch
 
 
 class TestTcamEncoding:
@@ -33,9 +32,9 @@ class TestTcamEncoding:
 
 class TestTernaryPipeline:
     def test_prefix_block_and_default_allow(self):
-        pipe, ctl = ternary_setup()
+        pipe, sw = ternary_setup()
         firewall.install_prefix(
-            Tenant.attach(ctl, 2), blocked_prefixes=[("10.66.0.0", 16)], default_port=3)
+            sw.tenant(2), blocked_prefixes=[("10.66.0.0", 16)], default_port=3)
         # Inside the blocked /16: dropped regardless of host bits.
         for src in ("10.66.0.1", "10.66.255.254", "10.66.7.7"):
             result = pipe.process(firewall.make_packet(2, src, 53))
@@ -47,31 +46,28 @@ class TestTernaryPipeline:
 
     def test_priority_by_address_order(self):
         # A specific allow installed BEFORE a broader block wins.
-        pipe, ctl = ternary_setup()
+        pipe, sw = ternary_setup()
         from repro.net import Ipv4Address
-        ctl.table_add(2, "acl",
-                      {"hdr.ipv4.srcAddr": int(Ipv4Address("10.66.1.1")),
-                       "hdr.udp.dstPort": 0},
-                      "allow", {"port": 5},
-                      key_masks={"hdr.udp.dstPort": 0})
-        ctl.table_add(2, "acl",
-                      {"hdr.ipv4.srcAddr": int(Ipv4Address("10.66.0.0")),
-                       "hdr.udp.dstPort": 0},
-                      "block",
-                      key_masks={"hdr.ipv4.srcAddr":
-                                 firewall.prefix_mask(16),
-                                 "hdr.udp.dstPort": 0})
+        acl = sw.tenant(2).table("acl")
+        acl.insert(Match({"hdr.ipv4.srcAddr": int(Ipv4Address("10.66.1.1")),
+                          "hdr.udp.dstPort": Ternary(0, 0)}),
+                   "allow", {"port": 5})
+        acl.insert(Match({"hdr.ipv4.srcAddr": Ternary(
+                              int(Ipv4Address("10.66.0.0")),
+                              firewall.prefix_mask(16)),
+                          "hdr.udp.dstPort": Ternary(0, 0)}),
+                   "block")
         exempt = pipe.process(firewall.make_packet(2, "10.66.1.1", 80))
         assert exempt.forwarded and exempt.egress_port == 5
         other = pipe.process(firewall.make_packet(2, "10.66.1.2", 80))
         assert other.dropped
 
     def test_module_isolation_in_ternary_mode(self):
-        pipe, ctl = ternary_setup()
+        pipe, sw = ternary_setup()
+        firewall.install_prefix(  # block everything
+            sw.tenant(2), blocked_prefixes=[("0.0.0.0", 0)])
         firewall.install_prefix(
-            Tenant.attach(ctl, 2), blocked_prefixes=[("0.0.0.0", 0)])  # block everything
-        ctl.load_module(3, firewall.P4_SOURCE_TERNARY, "fw2")
-        firewall.install_prefix(Tenant.attach(ctl, 3), default_port=4)
+            sw.admit("fw2", firewall.P4_SOURCE_TERNARY, vid=3), default_port=4)
         # Module 2 blocks all its traffic; module 3's flows anyway.
         assert pipe.process(firewall.make_packet(2, "1.2.3.4", 9)).dropped
         result = pipe.process(firewall.make_packet(3, "1.2.3.4", 9))
@@ -80,20 +76,20 @@ class TestTernaryPipeline:
     def test_update_one_module_leaves_other_rules(self):
         # Appendix B's point: contiguous per-module blocks mean rule
         # updates for one module never move another module's rules.
-        pipe, ctl = ternary_setup()
+        pipe, sw = ternary_setup()
         firewall.install_prefix(
-            Tenant.attach(ctl, 2), blocked_prefixes=[("10.66.0.0", 16)], default_port=3)
-        ctl.load_module(3, firewall.P4_SOURCE_TERNARY, "fw2")
+            sw.tenant(2), blocked_prefixes=[("10.66.0.0", 16)], default_port=3)
         firewall.install_prefix(
-            Tenant.attach(ctl, 3), blocked_prefixes=[("10.77.0.0", 16)], default_port=4)
+            sw.admit("fw2", firewall.P4_SOURCE_TERNARY, vid=3),
+            blocked_prefixes=[("10.77.0.0", 16)], default_port=4)
         before = pipe.process(firewall.make_packet(3, "10.77.1.1", 1))
         assert before.dropped
         # Re-install module 2's rules (delete + add within its block).
-        loaded = ctl.modules[2]
-        for handle in list(loaded.table("acl").entries):
-            ctl.table_delete(2, "acl", handle)
+        acl = sw.tenant(2).table("acl")
+        for handle in acl.handles():
+            acl.delete(handle)
         firewall.install_prefix(
-            Tenant.attach(ctl, 2), blocked_prefixes=[("10.99.0.0", 16)], default_port=3)
+            sw.tenant(2), blocked_prefixes=[("10.99.0.0", 16)], default_port=3)
         after = pipe.process(firewall.make_packet(3, "10.77.1.1", 1))
         assert after.dropped  # module 3's rule still in force
 
@@ -102,9 +98,9 @@ class TestTernaryPipeline:
         ctl = MenshenController(pipe)
         ctl.load_module(2, firewall.P4_SOURCE, "fw")
         with pytest.raises(RuntimeInterfaceError, match="exact-match"):
-            ctl.table_add(2, "acl",
-                          {"hdr.ipv4.srcAddr": 1, "hdr.udp.dstPort": 1},
-                          "block", key_masks={"hdr.udp.dstPort": 0})
+            ctl.insert_entry(2, "acl", TableEntry.of(
+                {"hdr.ipv4.srcAddr": 1, "hdr.udp.dstPort": Ternary(1, 0)},
+                "block"))
 
     def test_tcam_write_via_daisy_chain(self):
         pipe = MenshenPipeline(match_mode="ternary")
